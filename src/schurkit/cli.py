@@ -7,8 +7,8 @@ discretize (cell-average a continuous symbol and re-check it), catalog.
 Every output embeds the resolved run configuration. Data sections are byte
 identical across repeat runs; the timestamp lives only in the header.
 
-Exit codes: 0 success, 1 threshold breach or failed verification, 2 input
-or quadrature error.
+Exit codes: 0 success, 1 threshold breach, failed verification or a failed
+internal identity check (ArithmeticError), 2 input or quadrature error.
 """
 
 from __future__ import annotations
@@ -355,7 +355,8 @@ def cmd_verify(args) -> int:
 
 
 _ESTIMATE_COLUMNS = ["symbol", "d", "p", "N", "k_amp", "estimate", "reference",
-                     "ratio", "restarts", "iterations", "seed"]
+                     "ratio", "restarts", "iterations_budget", "iterations_used",
+                     "seed"]
 
 
 def _estimate_csv(rows):
@@ -390,7 +391,9 @@ def cmd_estimate(args) -> int:
                 "p": tok, "N": N, "k_amp": amp,
                 "estimate": res.value, "reference": reference,
                 "ratio": res.value / reference,
-                "restarts": res.restarts, "iterations": res.iterations,
+                "restarts": res.restarts,
+                "iterations_budget": budget["iterations"],
+                "iterations_used": res.iterations,
                 "seed": seed,
             })
     config = _run_config(args, "estimate", label)
@@ -416,22 +419,19 @@ def cmd_growth(args) -> int:
     config = _run_config(args, "growth", label)
     _emit(args, config, {"rows": rows}, _estimate_csv(rows))
 
-    # gnuplot-ready companion: one indexed block per p value
-    dat_lines = ["# N estimate reference ratio"]
-    for tok, p in p_list:
-        dat_lines.append(f'# p = {tok}')
-        for r in rows:
-            if r["p"] == tok:
-                dat_lines.append(
-                    f'{r["N"]} {r["estimate"]!r} {r["reference"]!r} {r["ratio"]!r}')
-        dat_lines.append("")
-        dat_lines.append("")
-    dat_text = "\n".join(dat_lines)
+    # gnuplot-ready companion next to the report, one indexed block per p
+    # value; a report on stdout gets none
     if args.out:
-        dat_path = Path(args.out).with_suffix(".dat")
-    else:
-        dat_path = Path("growth.dat")
-    dat_path.write_text(dat_text)
+        dat_lines = ["# N estimate reference ratio"]
+        for tok, p in p_list:
+            dat_lines.append(f'# p = {tok}')
+            for r in rows:
+                if r["p"] == tok:
+                    dat_lines.append(
+                        f'{r["N"]} {r["estimate"]!r} {r["reference"]!r} {r["ratio"]!r}')
+            dat_lines.append("")
+            dat_lines.append("")
+        Path(args.out).with_suffix(".dat").write_text("\n".join(dat_lines))
 
     if args.threshold is not None and any(r["ratio"] > args.threshold for r in rows):
         return 1
@@ -602,6 +602,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ArithmeticError as exc:
+        sys.stderr.write(f"check failed: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

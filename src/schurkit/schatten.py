@@ -127,11 +127,63 @@ def _clip_singulars(sv):
     return sv
 
 
-def schatten_norm(A, p):
-    """Schatten p-norm via singular values; p = inf gives the operator norm.
+# Even exponents up to this one are computed by matrix products: p = 2k takes
+# about k products, and past p = 16 that costs more than one SVD.
+EVEN_P_MAX = 16
 
-    Exponents below 1 are computed as quasi-norms and flagged with a warning.
+
+def _even_half(p):
+    """k with p = 2k when p is an even integer up to EVEN_P_MAX, else None."""
+    half = float(p) / 2.0
+    if half.is_integer() and 1 <= half <= EVEN_P_MAX // 2:
+        return int(half)
+    return None
+
+
+def _gram(Y):
+    """The smaller Gram matrix, Y* Y or Y Y*, batched over leading axes."""
+    Yh = np.conj(np.swapaxes(Y, -1, -2))
+    return Yh @ Y if Y.shape[-1] <= Y.shape[-2] else Y @ Yh
+
+
+def _trace_power(G, k):
+    """tr(G^k) for Hermitian G, batched over leading axes, by matrix products.
+
+    G^k is split as G^a G^b with a = k // 2 and b = k - a, and the trace of
+    the product is read off entrywise, so G^k itself is never formed.
     """
+    if k == 1:
+        return np.einsum("...ii->...", G).real
+    half = G
+    for _ in range(k // 2 - 1):
+        half = half @ G
+    other = half @ G if k % 2 else half
+    return np.einsum("...ij,...ji->...", half, other).real
+
+
+def _even_power_sum(Y, k):
+    """||Y||_{2k}^{2k} = tr((Y* Y)^k), batched over leading axes."""
+    if k == 1:
+        return np.sum(Y.real**2 + Y.imag**2, axis=(-2, -1))
+    return _trace_power(_gram(Y), k)
+
+
+def schatten_norm(A, p):
+    """Schatten p-norm; p = inf gives the operator norm.
+
+    Even integer p = 2k up to EVEN_P_MAX is computed as tr((A* A)^k)^(1/p)
+    by matrix products, every other p from the singular values. Exponents
+    below 1 are computed as quasi-norms and flagged with a warning.
+    """
+    return _schatten_norm(A, p, matmul_even=True)
+
+
+def _svd_schatten_norm(A, p):
+    """schatten_norm from the singular values, for every p."""
+    return _schatten_norm(A, p, matmul_even=False)
+
+
+def _schatten_norm(A, p, matmul_even):
     data = _values(A)
     if data.size == 0:
         return 0.0
@@ -140,11 +192,14 @@ def schatten_norm(A, p):
     p = float(p)
     if p <= 0:
         raise ValueError("p must be positive")
+    k = _even_half(p) if matmul_even else None
+    if k is not None:
+        return float(_even_power_sum(data, k) ** (1.0 / p))
     sv = _clip_singulars(np.linalg.svd(data, compute_uv=False))
     if math.isinf(p):
         return float(sv[0]) if sv.size else 0.0
     if p < 1:
-        warnings.warn("p < 1 yields a quasi-norm, not a norm", stacklevel=2)
+        warnings.warn("p < 1 yields a quasi-norm, not a norm", stacklevel=3)
     return float(np.sum(sv**p) ** (1.0 / p))
 
 
@@ -234,23 +289,30 @@ class QuadratureGrid:
         return cls(f.d, factor * max(1, f.max_freq()) + 1)
 
 
-def _eval_on_grid(f, grid, chunk=None):
-    """Evaluate a matrix trig polynomial on all grid points: (G, R, C)."""
+def _grid_chunks(f, grid, values_per_chunk):
+    """Values of a matrix trig polynomial on consecutive runs of grid points.
+
+    Yields (chunk, R, C) arrays of about ``values_per_chunk`` entries each.
+    """
     if f.d != grid.d:
         raise ValueError("grid dimension does not match the polynomial")
     freqs = f.support_array()
     stack = f.coeff_stack()
-    rr, cc = stack.shape[1], stack.shape[2]
     g = grid.size
-    if chunk is None:
-        # keep each chunk's work set around 64 MB
-        per = max(1, (4 << 20) // max(1, rr * cc))
-        chunk = min(g, per)
-    out = np.empty((g, rr, cc), dtype=np.complex128)
+    chunk = min(g, max(1, values_per_chunk // max(1, stack.shape[1] * stack.shape[2])))
     phases = grid.phases(freqs) if len(freqs) else np.zeros((g, 0))
     for start in range(0, g, chunk):
-        ph = phases[start : start + chunk]
-        out[start : start + chunk] = np.tensordot(ph, stack, axes=(1, 0))
+        yield np.tensordot(phases[start : start + chunk], stack, axes=(1, 0))
+
+
+def _eval_on_grid(f, grid):
+    """Evaluate a matrix trig polynomial on all grid points: (G, R, C)."""
+    out = np.empty((grid.size, f.rows.npoints, f.cols.npoints), dtype=np.complex128)
+    start = 0
+    # each chunk's work set stays around 64 MB
+    for vals in _grid_chunks(f, grid, 4 << 20):
+        out[start : start + len(vals)] = vals
+        start += len(vals)
     return out
 
 
@@ -258,13 +320,20 @@ def lp_sp_norm(f, p, grid=None):
     """Mixed L^p(torus; Schatten-p) norm of a matrix trig polynomial.
 
     Averages ||f(z)||_p^p over the grid and takes the p-th root; p = inf
-    takes the max of operator norms over the grid.
+    takes the max of operator norms over the grid. Even p evaluates the grid
+    in chunks of about 16 MB and reduces each to its traces, so the values
+    at all grid points are never held at once.
     """
     p = float(p)
     if p < 1 and not math.isinf(p):
         raise ValueError("p >= 1 required")
     if grid is None:
         grid = QuadratureGrid.default_for(f)
+    k = _even_half(p)
+    if k is not None:
+        total = sum(float(np.sum(_even_power_sum(vals, k)))
+                    for vals in _grid_chunks(f, grid, 1 << 20))
+        return float((total / grid.size) ** (1.0 / p))
     vals = _eval_on_grid(f, grid)
     sv = np.linalg.svd(vals, compute_uv=False)
     top = sv.max(initial=0.0)
@@ -295,6 +364,7 @@ def square_function_norm(gs, p, grid=None, side="column"):
             raise ValueError("family members must share dimension and windows")
     if grid is None:
         grid = QuadratureGrid(g0.d, 4 * max(1, max(g.max_freq() for g in gs)) + 1)
+    k = _even_half(p)
 
     def one_side(which):
         dim = g0.cols.npoints if which == "column" else g0.rows.npoints
@@ -305,6 +375,8 @@ def square_function_norm(gs, p, grid=None, side="column"):
                 acc += np.einsum("gri,grj->gij", vals.conj(), vals)
             else:
                 acc += np.einsum("gir,gjr->gij", vals, vals.conj())
+        if k is not None:
+            return float(np.mean(_trace_power(acc, k)) ** (1.0 / p))
         acc = 0.5 * (acc + np.conj(np.swapaxes(acc, 1, 2)))
         w = np.clip(np.linalg.eigvalsh(acc), 0.0, None)
         return float(np.mean(np.sum(w ** (p / 2.0), axis=1)) ** (1.0 / p))

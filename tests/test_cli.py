@@ -127,8 +127,17 @@ class TestEstimate:
         lines = capsys.readouterr().out.splitlines()
         data_lines = [ln for ln in lines if not ln.startswith("#")]
         assert data_lines[0] == ("symbol,d,p,N,k_amp,estimate,reference,"
-                                 "ratio,restarts,iterations,seed")
+                                 "ratio,restarts,iterations_budget,"
+                                 "iterations_used,seed")
         assert len(data_lines) == 2
+
+    def test_iteration_columns(self, capsys):
+        rc = main(["estimate", "--catalog", "smooth_homogeneous", "--p", "4",
+                   "--n", "3", "--restarts", "2", "--iters", "6"])
+        assert rc == 0
+        (row,) = _json_out(capsys)["data"]["rows"]
+        assert row["iterations_budget"] == 6
+        assert 0 < row["iterations_used"] <= 2 * 6
 
     def test_continuous_symbol_rejected(self, capsys):
         rc = main(["estimate", "--catalog", "continuous_arctan"])
@@ -149,6 +158,23 @@ class TestGrowth:
         assert dat.startswith("# N estimate reference ratio")
         assert "# p = 2" in dat
 
+    def test_rows_split_budget_and_steps_used(self, capsys):
+        rc = main(["growth", "--catalog", "smooth_homogeneous", "--p", "4",
+                   "--n", "2,3", "--restarts", "2", "--iters", "5"])
+        assert rc == 0
+        rows = _json_out(capsys)["data"]["rows"]
+        assert all(r["iterations_budget"] == 5 for r in rows)
+        assert all(0 < r["iterations_used"] <= 3 * 5 for r in rows)
+        assert "iterations" not in rows[0]
+
+    def test_stdout_report_writes_no_plot_data(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["growth", "--catalog", "triangular", "--p", "2",
+                   "--n", "2", "--restarts", "1", "--iters", "5"])
+        assert rc == 0
+        assert [r["N"] for r in _json_out(capsys)["data"]["rows"]] == [2]
+        assert list(tmp_path.iterdir()) == []
+
     def test_plot_data_deterministic(self, tmp_path):
         texts = []
         for stem in ("a", "b"):
@@ -158,6 +184,19 @@ class TestGrowth:
                          "--iters", "5", "--out", str(out)]) == 0
             texts.append((tmp_path / f"{stem}.dat").read_text())
         assert texts[0] == texts[1]
+
+
+class TestFailedIdentityCheck:
+    def test_arithmetic_error_exits_1_with_one_line(self, monkeypatch, capsys):
+        import schurkit.transference as tr
+
+        def broken(*args, **kwargs):
+            raise ArithmeticError("reassembly residual 1e-3 exceeds 1e-12")
+
+        monkeypatch.setattr(tr, "summation_by_parts_2d", broken)
+        assert main(["verify", "--trials", "2", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "check failed: reassembly residual 1e-3 exceeds 1e-12\n"
 
 
 class TestDiscretize:

@@ -16,6 +16,8 @@ from schurkit import (
     norm_lower_bound,
     schatten_norm,
 )
+from schurkit import schatten
+from schurkit.estimator import _norm_gradient
 
 
 class TestNormLowerBound:
@@ -61,6 +63,19 @@ class TestNormLowerBound:
         num = schatten_norm(apply_schur(m, res.witness), 4.0)
         den = schatten_norm(res.witness, 4.0)
         assert res.value == pytest.approx(num / den, rel=1e-13)
+        assert res.verify(m) == pytest.approx(res.value, rel=1e-13)
+
+    def test_verify_recomputes_from_singular_values(self, monkeypatch):
+        # the certificate must not rest on the even-p matrix-product kernel:
+        # with that kernel broken, verify still reproduces the value
+        m = catalog("lacunary_toeplitz", seed=1)
+        res = norm_lower_bound(m, Box.interval(-4, 4), 4.0,
+                               budget={"restarts": 2, "iterations": 20}, seed=3)
+        witness = res.witness
+        before = schatten_norm(witness, 4.0)
+        monkeypatch.setattr(schatten, "_even_power_sum",
+                            lambda Y, k: 2.0 * np.ones(Y.shape[:-2]))
+        assert schatten_norm(witness, 4.0) != pytest.approx(before)
         assert res.verify(m) == pytest.approx(res.value, rel=1e-13)
 
     def test_verify_catches_tampered_value(self):
@@ -110,6 +125,29 @@ class TestNormLowerBound:
             norm_lower_bound(m, win, 2.0, budget={"restarts": 0})
         with pytest.raises(ValueError):
             norm_lower_bound(m, win, 2.0, budget={"iterations": -1})
+
+
+class TestNormGradient:
+    def test_even_p_matches_svd_gradient(self):
+        rng = np.random.default_rng(31)
+        Y = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        u = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        deficient = u @ np.conj(u.T)
+        for X in (Y, deficient, np.zeros((4, 4), dtype=complex)):
+            U, sig, Vh = np.linalg.svd(X)
+            for p in (2, 4, 6, 8):
+                want = (U * (p * sig ** (p - 1.0))) @ Vh
+                got = _norm_gradient(X, p)
+                scale = max(np.abs(want).max(), 1e-300)
+                assert np.abs(got - want).max() <= 1e-13 * scale, p
+
+    def test_other_p_uses_svd(self):
+        rng = np.random.default_rng(32)
+        Y = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        U, sig, Vh = np.linalg.svd(Y)
+        for p in (4.0 / 3.0, 3.0, 2.5):
+            want = (U * (p * sig ** (p - 1.0))) @ Vh
+            assert np.array_equal(_norm_gradient(Y, p), want)
 
 
 class TestAmplified:
@@ -169,7 +207,8 @@ class TestGrowthExperiment:
         rows = growth_experiment(m, [Fraction(4, 3)], [2, 4],
                                  budget={"restarts": 1, "iterations": 10})
         want_keys = {"symbol", "d", "p", "N", "k_amp", "estimate", "reference",
-                     "ratio", "restarts", "iterations", "seed"}
+                     "ratio", "restarts", "iterations_budget",
+                     "iterations_used", "seed"}
         for r in rows:
             assert set(r) == want_keys
             assert r["p"] == Fraction(4, 3)
@@ -183,3 +222,16 @@ class TestGrowthExperiment:
         rows = growth_experiment(m, [2.0], [8, 2, 4],
                                  budget={"restarts": 1, "iterations": 10})
         assert [r["N"] for r in rows] == [2, 4, 8]
+
+    def test_iterations_used_are_the_search_steps(self):
+        # the smallest window has no warm start, so its row repeats a plain
+        # search; the budget column holds the budget, not the steps
+        m = catalog("smooth_homogeneous")
+        budget = {"restarts": 2, "iterations": 7}
+        rows = growth_experiment(m, [4.0], [3, 5], budget=budget, seed=4)
+        plain = norm_lower_bound(m, Box.interval(-3, 3), 4.0, budget=budget,
+                                 seed=4)
+        assert rows[0]["iterations_used"] == plain.iterations > 0
+        for r in rows:
+            assert r["iterations_budget"] == 7
+            assert 0 <= r["iterations_used"] <= 7 * (budget["restarts"] + 1)

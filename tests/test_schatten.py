@@ -13,7 +13,15 @@ from schurkit import (
     schatten_norm,
     square_function_norm,
 )
-from schurkit.schatten import abs_op
+from schurkit.schatten import (
+    EVEN_P_MAX,
+    _eval_on_grid,
+    _even_power_sum,
+    _grid_chunks,
+    _svd_schatten_norm,
+    _trace_power,
+    abs_op,
+)
 
 
 def _random(rows, cols, rng):
@@ -215,3 +223,89 @@ class TestTorusNorms:
         from schurkit import MatTrigPoly
         z = MatTrigPoly.zero(1, Box.interval(0, 2), Box.interval(0, 2))
         assert square_function_norm([z], 4) == 0.0
+
+
+def _svd_power_sums(stack, p):
+    """sum of sv^p per matrix of a stack, from the singular values."""
+    return np.sum(np.linalg.svd(stack, compute_uv=False) ** p, axis=-1)
+
+
+class TestEvenPKernel:
+    # the matrix-product path agrees with the singular-value path to rounding
+    TOL = 1e-13
+
+    def _cases(self):
+        rng = np.random.default_rng(21)
+        wide = _random(Box.interval(0, 3), Box.interval(0, 7), rng)
+        tall = _random(Box.interval(0, 9), Box.interval(0, 4), rng)
+        square = _random(Box.interval(0, 6), Box.interval(0, 6), rng)
+        u = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        v = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        deficient = LabeledMatrix(Box.interval(0, 8), Box.interval(0, 5), u @ v)
+        return {"wide": wide, "tall": tall, "square": square,
+                "rank_deficient": deficient}
+
+    def test_matches_svd_path(self):
+        for name, A in self._cases().items():
+            for p in (2, 4, 6, 8):
+                got, want = schatten_norm(A, p), _svd_schatten_norm(A, p)
+                assert abs(got - want) <= self.TOL * want, (name, p, got, want)
+
+    def test_zero_matrix(self):
+        Z = LabeledMatrix.zeros(Box.interval(0, 3), Box.interval(0, 5))
+        for p in (2, 4, 6, 8):
+            assert schatten_norm(Z, p) == 0.0
+
+    def test_batched_power_sums(self):
+        rng = np.random.default_rng(22)
+        for shape in ((5, 4, 7), (2, 3, 6, 2)):
+            stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            stack[0] = 0.0
+            for k in (1, 2, 3, 4):
+                got = _even_power_sum(stack, k)
+                want = _svd_power_sums(stack, 2 * k)
+                assert got.shape == shape[:-2]
+                assert np.all(np.abs(got - want) <= self.TOL * np.abs(want))
+
+    def test_trace_power_of_hermitian_stack(self):
+        rng = np.random.default_rng(23)
+        B = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
+        G = B @ np.conj(np.swapaxes(B, 1, 2))
+        w = np.linalg.eigvalsh(G)
+        for k in (1, 2, 3, 4, 5):
+            want = np.sum(w**k, axis=1)
+            assert np.all(np.abs(_trace_power(G, k) - want) <= self.TOL * want)
+
+    def test_odd_fractional_and_large_p_keep_singular_values(self):
+        rng = np.random.default_rng(24)
+        A = _random(Box.interval(0, 4), Box.interval(0, 4), rng)
+        for p in (1, 3, 2.5, EVEN_P_MAX + 2, math.inf):
+            assert schatten_norm(A, p) == _svd_schatten_norm(A, p)
+
+    def test_lp_sp_norm_chunked_grid(self):
+        # 100 x 100 values put 104 grid points in a 16 MB chunk; 250 points
+        # make two full chunks and a partial one
+        from schurkit import MatTrigPoly
+        rng = np.random.default_rng(25)
+        w = Box.interval(0, 100)
+        f = MatTrigPoly(1, {(n,): _random(w, w, rng) for n in (-3, 0, 2, 7)})
+        grid = QuadratureGrid(1, 250)
+        sizes = [len(c) for c in _grid_chunks(f, grid, 1 << 20)]
+        assert sizes == [104, 104, 42]
+        sv = np.linalg.svd(_eval_on_grid(f, grid), compute_uv=False)
+        for p in (2, 4, 6, 8):
+            want = float(np.mean(np.sum(sv**p, axis=1)) ** (1.0 / p))
+            got = lp_sp_norm(f, p, grid=grid)
+            assert abs(got - want) <= self.TOL * want, (p, got, want)
+
+    def test_square_function_even_p(self):
+        # a one-member column square function is |f|, so its norm is f's
+        rng = np.random.default_rng(26)
+        w = Box.interval(0, 5)
+        f = pi_embed(_random(w, w, rng))
+        grid = QuadratureGrid.default_for(f)
+        sv = np.linalg.svd(_eval_on_grid(f, grid), compute_uv=False)
+        for p in (2, 4, 6, 8):
+            want = float(np.mean(np.sum(sv**p, axis=1)) ** (1.0 / p))
+            got = square_function_norm([f], p, side="column")
+            assert abs(got - want) <= self.TOL * want, (p, got, want)

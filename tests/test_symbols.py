@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,3 +213,23 @@ class TestLoadSymbol:
         from schurkit.symbols import ParseError
         with pytest.raises(ParseError):
             load_symbol({"kind": "toeplitz", "d": 1, "phi": "q7"})
+
+
+def test_readme_spec_examples_load():
+    # every JSON block in the README is a symbol spec that loads and evaluates
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), flags=re.S)
+    assert len(blocks) >= 3
+    kinds = set()
+    for block in blocks:
+        spec = json.loads(block)
+        sym = load_symbol(spec)
+        kinds.add(spec["kind"])
+        if isinstance(sym, ContinuousSymbol):
+            x, y = np.array([0.5, -1.0]), np.array([0.0, 2.0])
+            for vals in (sym(x, y), sym.partial(1, x, y), sym.partial(2, x, y)):
+                assert np.all(np.isfinite(vals))
+        else:
+            win = Box.from_pairs(spec.get("rows", [[-1, 1]] * sym.d))
+            assert np.all(np.isfinite(sym.values_on(win, win)))
+    assert {"dense", "toeplitz", "continuous"} <= kinds
