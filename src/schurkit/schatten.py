@@ -292,17 +292,10 @@ class QuadratureGrid:
 def _grid_chunks(f, grid, values_per_chunk):
     """Values of a matrix trig polynomial on consecutive runs of grid points.
 
-    Yields (chunk, R, C) arrays of about ``values_per_chunk`` entries each.
+    Yields (chunk, R, C) arrays of about ``values_per_chunk`` values each;
+    the polynomial evaluates itself (``MatTrigPoly.grid_chunks``).
     """
-    if f.d != grid.d:
-        raise ValueError("grid dimension does not match the polynomial")
-    freqs = f.support_array()
-    stack = f.coeff_stack()
-    g = grid.size
-    chunk = min(g, max(1, values_per_chunk // max(1, stack.shape[1] * stack.shape[2])))
-    phases = grid.phases(freqs) if len(freqs) else np.zeros((g, 0))
-    for start in range(0, g, chunk):
-        yield np.tensordot(phases[start : start + chunk], stack, axes=(1, 0))
+    return f.grid_chunks(grid, values_per_chunk)
 
 
 def _eval_on_grid(f, grid):
@@ -366,21 +359,23 @@ def square_function_norm(gs, p, grid=None, side="column"):
         grid = QuadratureGrid(g0.d, 4 * max(1, max(g.max_freq() for g in gs)) + 1)
     k = _even_half(p)
 
-    def one_side(which):
-        dim = g0.cols.npoints if which == "column" else g0.rows.npoints
-        acc = np.zeros((grid.size, dim, dim), dtype=np.complex128)
-        for g in gs:
-            vals = _eval_on_grid(g, grid)
-            if which == "column":
-                acc += np.einsum("gri,grj->gij", vals.conj(), vals)
-            else:
-                acc += np.einsum("gir,gjr->gij", vals, vals.conj())
+    # each member is evaluated once and feeds every Gram sum asked for
+    dims = {"column": g0.cols.npoints, "row": g0.rows.npoints}
+    sums = {s: np.zeros((grid.size, dims[s], dims[s]), dtype=np.complex128)
+            for s in (("column", "row") if side == "max" else (side,))}
+    for g in gs:
+        vals = _eval_on_grid(g, grid)
+        vals_h = np.conj(np.swapaxes(vals, 1, 2))
+        if "column" in sums:
+            sums["column"] += vals_h @ vals
+        if "row" in sums:
+            sums["row"] += vals @ vals_h
+
+    def norm_of(acc):
         if k is not None:
             return float(np.mean(_trace_power(acc, k)) ** (1.0 / p))
         acc = 0.5 * (acc + np.conj(np.swapaxes(acc, 1, 2)))
         w = np.clip(np.linalg.eigvalsh(acc), 0.0, None)
         return float(np.mean(np.sum(w ** (p / 2.0), axis=1)) ** (1.0 / p))
 
-    if side == "max":
-        return max(one_side("column"), one_side("row"))
-    return one_side(side)
+    return max(norm_of(acc) for acc in sums.values())

@@ -104,6 +104,33 @@ class TestVerify:
     def test_injected_fault_detected(self, capsys):
         assert main(["verify", "--trials", "2", "--inject-fault"]) == 1
 
+    def test_telescoping_2d_residual_reported(self, monkeypatch, capsys):
+        # a 2-d symbol whose values drift between calls breaks the rectangle
+        # reassembly: the suite fails in the report, which is still written
+        import schurkit.cli as cli
+        from schurkit import DiscreteSymbol
+
+        plain = cli._random_symbol
+
+        def drifting(rng, d):
+            m = plain(rng, d)
+            if d == 1:
+                return m
+            calls = [0]
+
+            def fn(s, t):
+                calls[0] += 1
+                return m.eval_pairs(s, t) * (1.0 + 1e-6 * calls[0])
+
+            return DiscreteSymbol.callback(fn, d=2)
+
+        monkeypatch.setattr(cli, "_random_symbol", drifting)
+        assert main(["verify", "--trials", "2", "--seed", "0"]) == 1
+        suites = {s["suite"]: s for s in _json_out(capsys)["data"]["suites"]}
+        assert not suites["block_telescoping_2d"]["pass"]
+        assert suites["block_telescoping_2d"]["max_residual"] > 1e-10
+        assert suites["block_telescoping_1d"]["pass"]
+
     def test_zero_trials_vacuous(self, capsys):
         assert main(["verify", "--trials", "0"]) == 0
         assert "vacuous" in capsys.readouterr().err

@@ -5,9 +5,13 @@ import pytest
 
 from schurkit import (
     Box,
+    DyadicIndex,
     LabeledMatrix,
+    MatTrigPoly,
     QuadratureGrid,
     cs_gap,
+    freq_project,
+    lp_experiment,
     lp_sp_norm,
     pi_embed,
     schatten_norm,
@@ -309,3 +313,59 @@ class TestEvenPKernel:
             want = float(np.mean(np.sum(sv**p, axis=1)) ** (1.0 / p))
             got = square_function_norm([f], p, side="column")
             assert abs(got - want) <= self.TOL * want, (p, got, want)
+
+
+def _two_pass_square_function(gs, p, grid, side):
+    """Square-function norm with one grid evaluation per member and side,
+    Gram sums by einsum and eigenvalues (the reference for the one-pass code)."""
+    def one_side(which):
+        acc = 0.0
+        for g in gs:
+            vals = _eval_on_grid(g, grid)
+            if which == "column":
+                acc = acc + np.einsum("gri,grj->gij", vals.conj(), vals)
+            else:
+                acc = acc + np.einsum("gir,gjr->gij", vals, vals.conj())
+        w = np.clip(np.linalg.eigvalsh(acc), 0.0, None)
+        return float(np.mean(np.sum(w ** (p / 2.0), axis=1)) ** (1.0 / p))
+
+    sides = ("column", "row") if side == "max" else (side,)
+    return max(one_side(s) for s in sides)
+
+
+class TestSquareFunctionOnePass:
+    def _count_evaluations(self, monkeypatch):
+        import schurkit.schatten as sch
+
+        calls = []
+        plain = sch._eval_on_grid
+
+        def counted(f, grid):
+            calls.append(f)
+            return plain(f, grid)
+
+        monkeypatch.setattr(sch, "_eval_on_grid", counted)
+        return calls
+
+    def test_each_member_evaluated_once(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        w, v = Box.interval(0, 8), Box.interval(-2, 3)
+        f = MatTrigPoly(1, {(n,): _random(w, v, rng) for n in (-5, -1, 0, 2, 3, 6)})
+        members = [freq_project(f, DyadicIndex(j, 1)) for j in range(4)]
+        grid = QuadratureGrid.default_for(f)
+        wants = {(p, side): _two_pass_square_function(members, p, grid, side)
+                 for p in (2, 3, 4, 6) for side in ("column", "row", "max")}
+        calls = self._count_evaluations(monkeypatch)
+        for (p, side), want in wants.items():
+            calls.clear()
+            got = square_function_norm(members, p, grid=grid, side=side)
+            assert len(calls) == len(members)
+            assert abs(got - want) <= 1e-13 * want, (p, side, got, want)
+
+    def test_lp_experiment_evaluation_count(self, monkeypatch):
+        # the norm, four block projections and four cutoffs of an 8 x 8 image
+        f = pi_embed(_random(Box.interval(0, 8), Box.interval(0, 8),
+                             np.random.default_rng(28)))
+        calls = self._count_evaluations(monkeypatch)
+        lp_experiment(f, 4)
+        assert len(calls) == 9

@@ -1,6 +1,7 @@
 """Matrix embedding, multiplier transfer, cutoffs, and block decompositions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from schurkit import (
     summation_by_parts_1d,
     summation_by_parts_2d,
 )
+from schurkit.lattice import dyadic_block_contains
+from schurkit.schatten import QuadratureGrid, _eval_on_grid
+from schurkit.transference import _cutoff_factor
 
 
 def _random(window, rng):
@@ -111,6 +115,155 @@ class TestMatTrigPoly:
                 (0,): LabeledMatrix.identity(Box.interval(0, 2)),
                 (1,): LabeledMatrix.identity(Box.interval(0, 3)),
             })
+
+
+# Reference storage for the property tests: a dict from frequency tuple to a
+# dense R x C array, with every operation written coefficient by coefficient.
+
+
+def _ref_random(d, rows, cols, rng, count):
+    hull = Box.cube(-5, 6, d).points_array()
+    pick = rng.choice(len(hull), size=min(count, len(hull)), replace=False)
+    shape = (rows.npoints, cols.npoints)
+    ref = {}
+    for n in hull[pick]:
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data[rng.random(shape) < 0.2] = 0.0
+        ref[tuple(int(v) for v in n)] = data
+    poly = MatTrigPoly(d, {n: LabeledMatrix(rows, cols, a) for n, a in ref.items()},
+                       rows=rows, cols=cols)
+    return ref, poly
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for n, B in b.items():
+        out[n] = out[n] + B if n in out else B
+    return out
+
+
+def _ref_in(region, n):
+    if isinstance(region, Box):
+        return n in region
+    if isinstance(region, DyadicIndex):
+        return dyadic_block_contains(region.j, n, region.d)
+    if isinstance(region, tuple) and all(isinstance(v, int) for v in region):
+        return region[0] < n[0] < region[1]
+    return any(_ref_in(r, n) for r in region)
+
+
+def _ref_multiply(m, ref, rows, cols, side):
+    out = {}
+    for n, A in ref.items():
+        off = np.asarray(n)[None, :]
+        if side == "left":
+            pts = rows.points_array()
+            out[n] = m.eval_pairs(pts, pts - off)[:, None] * A
+        else:
+            pts = cols.points_array()
+            out[n] = A * m.eval_pairs(pts + off, pts)[None, :]
+    return out
+
+
+def _assert_matches(poly, ref):
+    assert poly.support == sorted(ref)
+    got = list(poly.items())
+    assert [n for n, _ in got] == sorted(ref)
+    for n, C in got:
+        assert np.array_equal(C.data, ref[n]), n
+        assert np.array_equal(poly.coeff(n).data, ref[n]), n
+
+
+_SHAPES = [
+    (1, Box.interval(0, 3), Box.interval(-1, 4)),
+    (2, Box.cube(0, 2, 2), Box((0, -1), (2, 2))),
+]
+
+
+class TestEntryStorage:
+    """The entry-list storage against the dict-of-dense reference above."""
+
+    @pytest.mark.parametrize("d,rows,cols", _SHAPES)
+    def test_arithmetic(self, d, rows, cols):
+        rng = np.random.default_rng(60 + d)
+        for trial in range(5):
+            ra, fa = _ref_random(d, rows, cols, rng, 6)
+            rb, fb = _ref_random(d, rows, cols, rng, 6)
+            _assert_matches(fa, ra)
+            _assert_matches(fa + fb, _ref_add(ra, rb))
+            _assert_matches(fa - fb, _ref_add(ra, {n: -B for n, B in rb.items()}))
+            lam = complex(rng.standard_normal(), rng.standard_normal())
+            _assert_matches(lam * fa, {n: A * lam for n, A in ra.items()})
+            diff = _ref_add(ra, {n: -B for n, B in rb.items()})
+            want = max(float(np.abs(A).max()) for A in diff.values())
+            assert max_coeff_diff(fa, fb) == want
+            assert fa.max_abs() == max(float(np.abs(A).max()) for A in ra.values())
+            missing = next(tuple(int(v) for v in n) for n in Box.cube(-7, 8, d).points()
+                           if tuple(n) not in ra)
+            assert np.array_equal(fa.coeff(missing).data, np.zeros((rows.npoints, cols.npoints)))
+
+    @pytest.mark.parametrize("d,rows,cols", _SHAPES)
+    def test_projections_and_cutoff(self, d, rows, cols):
+        rng = np.random.default_rng(62 + d)
+        ref, f = _ref_random(d, rows, cols, rng, 30)
+        regions = [Box.cube(-2, 3, d), DyadicIndex(0, d), DyadicIndex(2, d),
+                   [Box.cube(-4, 0, d), Box.cube(1, 3, d)]]
+        if d == 1:
+            regions.append((-3, 2))
+        for region in regions:
+            want = {n: A for n, A in ref.items() if _ref_in(region, n)}
+            _assert_matches(freq_project(f, region), want)
+        for j in range(0, 5):
+            want = {}
+            for n, A in ref.items():
+                w = _cutoff_factor(n, j, d)
+                if w != 0.0:
+                    want[n] = w * A
+            _assert_matches(smooth_cutoff(f, j), want)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("d,rows,cols", _SHAPES)
+    def test_multiplier_sides(self, d, rows, cols, side):
+        rng = np.random.default_rng(64 + d)
+        ref, f = _ref_random(d, rows, cols, rng, 8)
+        m = _random_symbol(d, rng)
+        got = apply_fourier_multiplier(m, f, side=side, verify_two_sided=False)
+        _assert_matches(got, _ref_multiply(m, ref, rows, cols, side))
+
+    @pytest.mark.parametrize("d,rows,cols", _SHAPES)
+    def test_grid_values_match_eval(self, d, rows, cols):
+        rng = np.random.default_rng(66 + d)
+        ref, f = _ref_random(d, rows, cols, rng, 8)
+        grid = QuadratureGrid(d, 7)
+        vals = _eval_on_grid(f, grid)
+        for z, got in zip(grid.points(), vals):
+            want = sum(A * np.prod(z ** np.asarray(n)) for n, A in ref.items())
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            assert np.allclose(got, f.eval(z).data, rtol=0, atol=1e-12)
+
+    def test_pi_image_stores_one_entry_per_matrix_entry(self):
+        rng = np.random.default_rng(68)
+        w = Box.cube(-1, 2, 2)
+        A = _random(w, rng)
+        f = pi_embed(A)
+        assert len(f._val) == w.npoints ** 2
+        assert sorted(np.abs(f._val)) == sorted(np.abs(A.data).ravel())
+
+    def test_pi_embed_and_multiplier_memory_is_quadratic(self):
+        # n = 128: the parent's dense coefficients took about 67 MB per
+        # polynomial; n^2 entries take well under 1 MB
+        n = 128
+        w = Box.interval(-64, 64)
+        A = _random(w, np.random.default_rng(69))
+        m = catalog("smooth_homogeneous")
+        tracemalloc.start()
+        try:
+            g = apply_fourier_multiplier(m, pi_embed(A))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.support) == 2 * n - 1
+        assert peak < 16 << 20, peak
 
 
 class TestEmbedding:
@@ -386,6 +539,21 @@ class TestSummationByParts2d:
         parts = summation_by_parts_2d(m, f, j)
         a = 2 ** (j - 1)
         assert parts.anchor == (-a + 1, a)
+
+    def test_reports_residual_instead_of_raising(self):
+        # a symbol whose values drift between calls cannot reassemble; the
+        # residual is returned for the caller to judge
+        calls = [0]
+
+        def drifting(s, t):
+            calls[0] += 1
+            return np.full(len(s), 1.0 + 1e-6 * calls[0], dtype=complex)
+
+        from schurkit import DiscreteSymbol
+        m = DiscreteSymbol.callback(drifting, d=2)
+        f = pi_embed(_random(Box.cube(0, 3, 2), np.random.default_rng(42)))
+        parts = summation_by_parts_2d(m, f, 1)
+        assert parts.residual > 1e-10 * max(parts.direct.max_abs(), 1.0)
 
     def test_rejects_wrong_dimension(self):
         rng = np.random.default_rng(41)
