@@ -42,7 +42,6 @@ from .symbols import (
 )
 from .marcinkiewicz import (
     ConditionReport,
-    ParallelogramIndex,
     QuadratureError,
     check_1d,
     check_2d,
@@ -83,7 +82,7 @@ __all__ = [
     "schatten_norm", "square_function_norm",
     "ContinuousSymbol", "DiscreteSymbol", "SymbolError", "WindowCapError",
     "catalog", "catalog_names", "load_symbol", "restrict_window",
-    "ConditionReport", "ParallelogramIndex", "QuadratureError",
+    "ConditionReport", "QuadratureError",
     "check_1d", "check_2d", "check_continuous", "check_dd",
     "discretize_continuous",
     "DiagonalOp", "LpReport", "MatTrigPoly", "apply_fourier_multiplier",

@@ -21,7 +21,6 @@ from .symbols import ContinuousSymbol, DiscreteSymbol, SymbolError
 
 __all__ = [
     "QuadratureError",
-    "ParallelogramIndex",
     "ConditionReport",
     "check_1d",
     "check_2d",
@@ -33,40 +32,6 @@ __all__ = [
 
 class QuadratureError(RuntimeError):
     """Raised when a quadrature refinement check fails to converge."""
-
-
-@dataclass(frozen=True)
-class ParallelogramIndex:
-    """Sheared half-open cell at scale k: the image of the unit square under
-    (u, v) -> ((a + u)/2^k, (b + v + u)/2^k)."""
-
-    k: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("cell scale must be nonnegative")
-
-    @property
-    def vertices(self):
-        h = 2.0 ** (-self.k)
-        a, b = self.a, self.b
-        return (
-            (a * h, b * h),
-            ((a + 1) * h, (b + 1) * h),
-            (a * h, (b + 1) * h),
-            ((a + 1) * h, (b + 2) * h),
-        )
-
-    def map_unit(self, u, v):
-        h = 2.0 ** (-self.k)
-        return ((self.a + u) * h, (self.b + v + u) * h)
-
-    def contains(self, x, y) -> bool:
-        u = x * 2.0**self.k - self.a
-        v = y * 2.0**self.k - self.b - u
-        return 0.0 <= u < 1.0 and 0.0 <= v < 1.0
 
 
 @dataclass
@@ -168,6 +133,63 @@ def _bases_array(base_range: Box, d: int) -> np.ndarray:
     return pts
 
 
+# Symbol pairs per base chunk: about 16 MB of complex values, the size of
+# the Schatten kernels' grid chunks.
+_CHUNK_PAIRS = 1 << 20
+
+
+def _walk_bases(m: DiscreteSymbol, bases, per_base: int, shape, sums_of):
+    """Variation sums at every base, as an array of ``shape + (len(bases),)``.
+
+    ``sums_of(pts, n)`` evaluates m at the base points ``pts`` (a run of
+    ``bases``, ``per_base`` symbol pairs each) and returns their sums with
+    the bases on the last axis; ``n`` is the number of bases the run stands
+    for. A Toeplitz symbol m(s, t) = phi(s - t) has the same sums at every
+    base, so its first base is evaluated once and stands for all of them.
+    Other symbols go in runs of about ``_CHUNK_PAIRS`` pairs and at least two
+    bases: summed down its rows, a one-column table adds pairwise and
+    rounds differently from a wider one, which adds row by row.
+    """
+    nb = len(bases)
+    out = np.empty(tuple(shape) + (nb,))
+    if m.kind == "toeplitz":
+        out[...] = sums_of(bases[:1], nb)
+        return out
+    width = max(2, _CHUNK_PAIRS // max(1, per_base))
+    starts = list(range(0, nb, width))
+    if len(starts) > 1 and nb - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [nb]):
+        out[..., lo:hi] = sums_of(bases[lo:hi], hi - lo)
+    return out
+
+
+def _mixed_sums(m: DiscreteSymbol, pts, T, alpha):
+    """Per-base sums over t in T of |mixed difference of m along alpha|.
+
+    The difference runs over the offsets beta <= alpha of the second point
+    s + t + beta, in both argument orders. Returns the (2, len(pts)) sums,
+    order (s, s + t + beta) first, and the largest |m| evaluated.
+    """
+    SS = np.repeat(pts, len(T), axis=0)
+    TT = SS + np.tile(T, (len(pts), 1))
+    subsets = list(product(*[(0, 1) if bit else (0,) for bit in alpha]))
+    out = np.empty((2, len(pts)))
+    peak = 0.0
+    for o in range(2):
+        acc = np.zeros(len(SS), dtype=np.complex128)
+        for beta in subsets:
+            sign = (-1) ** (sum(alpha) - sum(beta))
+            a_pts, b_pts = SS, TT + np.asarray(beta, dtype=np.int64)
+            if o:
+                a_pts, b_pts = b_pts, a_pts
+            vals = m.eval_pairs(a_pts, b_pts)
+            peak = max(peak, float(np.abs(vals).max(initial=0.0)))
+            acc = acc + sign * vals
+        out[o] = np.abs(acc).reshape(len(pts), len(T)).sum(axis=1)
+    return out, peak
+
+
 def check_1d(m: DiscreteSymbol, N_max: int, base_range: Box) -> ConditionReport:
     """Row/column variation sums of a one-dimensional symbol per dyadic block.
 
@@ -183,53 +205,56 @@ def check_1d(m: DiscreteSymbol, N_max: int, base_range: Box) -> ConditionReport:
     bases = _bases_array(base_range, 1)[:, 0]
     top = 1 << N_max
     ks = np.arange(-top, top + 1, dtype=np.int64)
+    # per level, inclusive k ranges summed for each table: the two-sided
+    # block, then the signed halves "+" and "-" without the difference that
+    # leaves the half
+    spans = []
+    for N in range(1, N_max + 1):
+        a, b = 1 << (N - 1), 1 << N
+        spans.append([
+            [(a, b - 1), (-b + 1, -a)],
+            [(a, b - 2)],
+            [(-b + 1, -a - 1)],
+        ])
+    peaks = np.zeros(2)
 
-    KJ = (ks[:, None] + bases[None, :]).reshape(-1, 1)
-    JJ = np.broadcast_to(bases[None, :], (len(ks), len(bases))).reshape(-1, 1)
-    V = m.eval_pairs(KJ, JJ).reshape(len(ks), len(bases))
-    W = m.eval_pairs(JJ, KJ).reshape(len(ks), len(bases))
-    c1 = float(max(np.abs(V).max(), np.abs(W).max()))
-    Dv = np.abs(np.diff(V, axis=0))  # index i holds k = -top + i
-    Dw = np.abs(np.diff(W, axis=0))
+    def sums_of(pts, n):
+        KJ = (ks[:, None] + pts[None, :]).reshape(-1, 1)
+        JJ = np.broadcast_to(pts[None, :], (len(ks), len(pts))).reshape(-1, 1)
+        out = np.empty((N_max, 2, 3, n))
+        for i, (S, T) in enumerate(((KJ, JJ), (JJ, KJ))):
+            V = m.eval_pairs(S, T).reshape(len(ks), len(pts))
+            peaks[i] = np.maximum(peaks[i], np.abs(V).max())
+            # row r holds the difference at k = r - top; a Toeplitz run's one
+            # column is summed as n columns, which rounds as the whole table
+            D = np.broadcast_to(np.abs(np.diff(V, axis=0)), (len(ks) - 1, n))
+            for lvl, groups in enumerate(spans):
+                for g, ranges in enumerate(groups):
+                    out[lvl, i, g] = sum(D[lo + top:hi + top + 1].sum(axis=0)
+                                         for lo, hi in ranges)
+        return out
 
-    def kslice(klo, khi):
-        # inclusive k range -> row slice of Dv/Dw
-        return slice(klo + top, khi + top + 1)
+    sums = _walk_bases(m, bases, len(ks), (N_max, 2, 3), sums_of)
+
+    def row(lvl, direction, s):
+        i = int(np.argmax(s))
+        return {"level": lvl + 1, "direction": direction,
+                "base": int(bases[i]), "value": float(s[i])}
 
     table = []
     within = []
-    for N in range(1, N_max + 1):
-        a, b = 1 << (N - 1), 1 << N
-        two_sided = [kslice(a, b - 1), kslice(-b + 1, -a)]
-        for direction, D in (("row", Dv), ("col", Dw)):
-            sums = sum(D[s].sum(axis=0) for s in two_sided)
-            i = int(np.argmax(sums))
-            table.append({
-                "level": N, "direction": direction,
-                "base": int(bases[i]), "value": float(sums[i]),
-            })
-        within_slices = [("+", kslice(a, b - 2)), ("-", kslice(-b + 1, -a - 1))]
-        for direction, D in (("row", Dv), ("col", Dw)):
-            for sign, s in within_slices:
-                if s.start >= s.stop:
-                    within.append({
-                        "level": N, "direction": direction + sign,
-                        "base": int(bases[0]), "value": 0.0,
-                    })
-                    continue
-                sums = D[s].sum(axis=0)
-                i = int(np.argmax(sums))
-                within.append({
-                    "level": N, "direction": direction + sign,
-                    "base": int(bases[i]), "value": float(sums[i]),
-                })
+    for lvl in range(N_max):
+        table += [row(lvl, d, sums[lvl, i, 0]) for i, d in enumerate(("row", "col"))]
+        within += [row(lvl, d + sign, sums[lvl, i, g])
+                   for i, d in enumerate(("row", "col"))
+                   for g, sign in ((1, "+"), (2, "-"))]
 
     report = ConditionReport(
         kind="1d",
         symbol=getattr(m, "name", None) or "symbol",
         d=1,
         table=table,
-        c1=c1,
+        c1=float(max(peaks[0], peaks[1])),
         c2=float(max(r["value"] for r in table)),
         within_table=within,
         within_block_sup=float(max(r["value"] for r in within)),
@@ -253,6 +278,9 @@ def _growth_flag(per_level: list[float]) -> bool:
     return r1 >= 1.5 and r2 >= 1.5
 
 
+_ORIENTS = ("left", "right")
+
+
 def check_2d(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
     """Edge and mixed variation sums of a two-dimensional symbol per block.
 
@@ -266,58 +294,49 @@ def check_2d(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     bases = _bases_array(base_range, 2)
-    nb = len(bases)
     c1 = 0.0
     table = []
     edge_by_level = {"left": [], "right": []}
 
-    def eval_pairs(orient, S, T):
-        nonlocal c1
-        vals = m.eval_pairs(S, T) if orient == "left" else m.eval_pairs(T, S)
-        c1 = max(c1, float(np.abs(vals).max(initial=0.0)))
-        return vals
-
     for k in range(1, k_max + 1):
         half, full = 1 << (k - 1), 1 << k
         tfree = np.arange(-full + 1, full + 1, dtype=np.int64)  # one past for diffs
-
-        edge_sums = {"left": np.zeros(nb), "right": np.zeros(nb)}
+        edges = []
         for axis in (0, 1):
             for side in (half, -half):
                 T = np.zeros((len(tfree), 2), dtype=np.int64)
                 T[:, axis] = tfree
                 T[:, 1 - axis] = side
-                # s + t for every base, extended one step along the free axis
-                SS = np.repeat(bases, len(tfree), axis=0)
-                TT = SS + np.tile(T, (nb, 1))
-                for orient in ("left", "right"):
-                    vals = eval_pairs(orient, SS, TT).reshape(nb, len(tfree))
-                    edge_sums[orient] += np.abs(np.diff(vals, axis=1)).sum(axis=1)
-        for orient in ("left", "right"):
-            i = int(np.argmax(edge_sums[orient]))
-            table.append({
-                "level": k, "direction": f"edge-{orient}",
-                "base": tuple(int(v) for v in bases[i]),
-                "value": float(edge_sums[orient][i]),
-            })
-            edge_by_level[orient].append(float(edge_sums[orient].max()))
-
+                edges.append(T)
         shell = dyadic_block_points(k, 2)
-        SS = np.repeat(bases, len(shell), axis=0)
-        base_T = np.tile(shell, (nb, 1))
-        for orient in ("left", "right"):
-            acc = np.zeros(nb * len(shell), dtype=np.complex128)
-            for b1, b2 in product((0, 1), repeat=2):
-                sign = (-1) ** (2 - b1 - b2)
-                off = np.array([b1, b2], dtype=np.int64)
-                acc = acc + sign * eval_pairs(orient, SS, SS + base_T + off)
-            mixed = np.abs(acc).reshape(nb, len(shell)).sum(axis=1)
-            i = int(np.argmax(mixed))
-            table.append({
-                "level": k, "direction": f"mixed-{orient}",
-                "base": tuple(int(v) for v in bases[i]),
-                "value": float(mixed[i]),
-            })
+
+        def level_sums(pts, n):
+            nonlocal c1
+            out = np.zeros((2, 2, len(pts)))  # (edge, mixed) x orientation
+            SS = np.repeat(pts, len(tfree), axis=0)
+            for T in edges:
+                # s + t for every base, extended one step along the free axis
+                TT = SS + np.tile(T, (len(pts), 1))
+                for o in range(2):
+                    vals = m.eval_pairs(SS, TT) if o == 0 else m.eval_pairs(TT, SS)
+                    c1 = max(c1, float(np.abs(vals).max(initial=0.0)))
+                    vals = vals.reshape(len(pts), len(tfree))
+                    out[0, o] += np.abs(np.diff(vals, axis=1)).sum(axis=1)
+            out[1], peak = _mixed_sums(m, pts, shell, (1, 1))
+            c1 = max(c1, peak)
+            return out
+
+        sums = _walk_bases(m, bases, len(shell), (2, 2), level_sums)
+        for part, label in enumerate(("edge", "mixed")):
+            for o, orient in enumerate(_ORIENTS):
+                i = int(np.argmax(sums[part, o]))
+                table.append({
+                    "level": k, "direction": f"{label}-{orient}",
+                    "base": tuple(int(v) for v in bases[i]),
+                    "value": float(sums[part, o, i]),
+                })
+                if label == "edge":
+                    edge_by_level[orient].append(float(sums[part, o].max()))
 
     edge_rows = [r["value"] for r in table if r["direction"].startswith("edge")]
     mixed_rows = [r["value"] for r in table if r["direction"].startswith("mixed")]
@@ -335,9 +354,7 @@ def check_2d(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
         },
         truncation={"k_max": k_max, "bases": len(bases)},
     )
-    for r in report.table:
-        if r["value"] < 0:
-            raise AssertionError("negative variation sum recorded")
+    report.check_invariants()
     return report
 
 
@@ -357,7 +374,6 @@ def check_dd(m: DiscreteSymbol, d: int, k_max: int, base_range: Box,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     bases = _bases_array(base_range, d)
-    nb = len(bases)
     c1 = 0.0
     table = []
     masks = [alpha for alpha in product((0, 1), repeat=d) if any(alpha)]
@@ -374,27 +390,21 @@ def check_dd(m: DiscreteSymbol, d: int, k_max: int, base_range: Box,
                 T = np.full((grids[0].size, d), half, dtype=np.int64)
                 for ax, g in zip(free_axes, grids):
                     T[:, ax] = g.ravel()
-            SS = np.repeat(bases, len(T), axis=0)
-            TT = np.tile(T, (nb, 1))
-            subsets = list(product(*[(0, 1) if bit else (0,) for bit in alpha]))
-            for orient in ("left", "right"):
-                acc = np.zeros(len(SS), dtype=np.complex128)
-                for beta in subsets:
-                    off = np.asarray(beta, dtype=np.int64)
-                    sign = (-1) ** (sum(alpha) - sum(beta))
-                    a_pts, b_pts = SS, SS + TT + off
-                    if orient == "right":
-                        a_pts, b_pts = b_pts, a_pts
-                    vals = m.eval_pairs(a_pts, b_pts)
-                    c1 = max(c1, float(np.abs(vals).max(initial=0.0)))
-                    acc = acc + sign * vals
-                sums = np.abs(acc).reshape(nb, len(T)).sum(axis=1)
-                i = int(np.argmax(sums))
+
+            def mask_sums(pts, n):
+                nonlocal c1
+                out, peak = _mixed_sums(m, pts, T, alpha)
+                c1 = max(c1, peak)
+                return out
+
+            sums = _walk_bases(m, bases, len(T), (2,), mask_sums)
+            for o, orient in enumerate(_ORIENTS):
+                i = int(np.argmax(sums[o]))
                 table.append({
                     "level": k, "direction": f"{alpha}-{orient}",
                     "alpha": alpha,
                     "base": tuple(int(v) for v in bases[i]),
-                    "value": float(sums[i]),
+                    "value": float(sums[o, i]),
                 })
 
     report = ConditionReport(
@@ -594,6 +604,7 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
                 "tol": tol,
             },
         )
+        report.check_invariants()
         return report
 
     if M.d == 2:
@@ -652,7 +663,7 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
                         "base": tuple(float(v) for v in ys[i]),
                         "value": float(vals[i]),
                     })
-        return ConditionReport(
+        report = ConditionReport(
             kind="continuous",
             symbol=M.name or "continuous",
             d=2,
@@ -660,5 +671,7 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
             a_const=float(max(r["value"] for r in table)),
             truncation={"levels": [levels[0], levels[-1]], "bases": len(ys), "tol": tol},
         )
+        report.check_invariants()
+        return report
 
     raise SymbolError("continuous conditions implemented for d <= 2")

@@ -54,6 +54,14 @@ def _aspairs(pts, d):
     return pts.astype(np.int64, copy=False)
 
 
+def _values(out, n):
+    """An evaluator's output as n complex values (scalars broadcast)."""
+    out = np.asarray(out, dtype=np.complex128)
+    if out.shape != (n,):
+        out = np.broadcast_to(out, (n,)).astype(np.complex128)
+    return out
+
+
 class DiscreteSymbol:
     """Symbol m(s, t) on Z^d x Z^d.
 
@@ -133,13 +141,8 @@ class DiscreteSymbol:
             vals = np.where(ok, self.entries[ridx, cidx], 0.0 + 0.0j)
             return np.asarray(vals, dtype=np.complex128)
         if self.kind == "toeplitz":
-            out = self.phi(s_pts - t_pts)
-        else:
-            out = self.fn(s_pts, t_pts)
-        out = np.asarray(out, dtype=np.complex128)
-        if out.shape != (len(s_pts),):
-            out = np.broadcast_to(out, (len(s_pts),)).astype(np.complex128)
-        return out
+            return _values(self.phi(s_pts - t_pts), len(s_pts))
+        return _values(self.fn(s_pts, t_pts), len(s_pts))
 
     def values_on(self, rows: Box, cols: Box, strict=True):
         """Dense value table over rows x cols (row-major in both windows)."""
@@ -154,20 +157,31 @@ class DiscreteSymbol:
         return self.eval_pairs(ss, tt, strict=strict).reshape(rows.npoints, cols.npoints)
 
     def __mul__(self, other):
+        # products of Toeplitz symbols stay Toeplitz, with the values the
+        # callback form gives: the product of the factors' eval_pairs values
         if isinstance(other, DiscreteSymbol):
             if other.d != self.d:
                 raise SymbolError("symbol dimensions differ")
             a, b = self, other
+            name = f"{self.name}*{other.name}"
+            if a.kind == b.kind == "toeplitz":
+                return DiscreteSymbol.toeplitz(
+                    lambda k: _values(a.phi(k), len(k)) * _values(b.phi(k), len(k)),
+                    d=self.d, name=name,
+                )
             return DiscreteSymbol.callback(
-                lambda s, t: a.eval_pairs(s, t) * b.eval_pairs(s, t),
-                d=self.d,
-                name=f"{self.name}*{other.name}",
+                lambda s, t: a.eval_pairs(s, t) * b.eval_pairs(s, t), d=self.d, name=name,
             )
         if isinstance(other, numbers.Number):
             lam = complex(other)
             a = self
+            name = f"{other}*{self.name}"
+            if a.kind == "toeplitz":
+                return DiscreteSymbol.toeplitz(
+                    lambda k: lam * _values(a.phi(k), len(k)), d=self.d, name=name
+                )
             return DiscreteSymbol.callback(
-                lambda s, t: lam * a.eval_pairs(s, t), d=self.d, name=f"{other}*{self.name}"
+                lambda s, t: lam * a.eval_pairs(s, t), d=self.d, name=name
             )
         return NotImplemented
 

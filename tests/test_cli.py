@@ -80,6 +80,19 @@ class TestCheck:
         assert a == b
         assert a.splitlines()[-1].split(",")[0] in ("block", "within")
 
+    def test_alpha_d3_toeplitz_default_base_range(self, tmp_path, capsys):
+        # the default cube(-8, 8, 3) has 4096 bases; a Toeplitz symbol is
+        # evaluated at one of them (all 4096 at once needed > 10 GB)
+        spec = tmp_path / "t3.json"
+        spec.write_text(json.dumps({
+            "kind": "toeplitz", "d": 3,
+            "phi": "cos(0.83*k1 - 1.21*k3) / (1 + k1*k1 + k2*k2 + k3*k3)"}))
+        assert main(["check", "--spec", str(spec), "--alpha", "--kmax", "4"]) == 0
+        data = _json_out(capsys)["data"]
+        assert data["truncation"]["bases"] == 4096
+        assert len(data["table"]) == 7 * 2 * 4
+        assert all(r["base"] == [-8, -8, -8] for r in data["table"])
+
     def test_continuous_symbol_routes_to_derivative_check(self, capsys):
         rc = main(["check", "--catalog", "continuous_arctan",
                    "--jmin", "-2", "--jmax", "2"])

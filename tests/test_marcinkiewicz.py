@@ -7,6 +7,7 @@ quadrature accuracy.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from schurkit import (
     ConditionReport,
     ContinuousSymbol,
     DiscreteSymbol,
-    ParallelogramIndex,
     QuadratureError,
     SymbolError,
     catalog,
@@ -25,7 +25,9 @@ from schurkit import (
     check_continuous,
     check_dd,
     discretize_continuous,
+    load_symbol,
 )
+from schurkit import marcinkiewicz
 
 
 def _rows_by(report, *keys):
@@ -171,28 +173,116 @@ class TestCheckDd:
             check_dd(catalog("triangular"), 2, 2, Box.cube(0, 1, 2))
 
 
+def _phi(k):
+    # non-integer complex profile in every coordinate of the difference
+    k = k.astype(float)
+    out = np.exp(0.37j * k[:, 0]) * np.cos(0.7 * k[:, 0]) / (1 + np.abs(k[:, 0])) ** 0.5
+    for i in range(1, k.shape[1]):
+        out = out * np.cos(0.45 * i * k[:, i] + 0.2) / (1 + 0.3 * np.abs(k[:, i]))
+    return out
+
+
+def _toeplitz_and_callback(d):
+    return (DiscreteSymbol.toeplitz(_phi, d=d, name="phi"),
+            DiscreteSymbol.callback(lambda s, t: _phi(s - t), d=d, name="phi"))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBaseWalk:
+    def test_toeplitz_one_base_matches_every_base(self):
+        # the Toeplitz path evaluates one base; the callback form of the
+        # same symbol evaluates all of them: the reports agree to the byte
+        runs = [
+            (1, lambda m: check_1d(m, 6, Box.interval(-9, 9))),
+            (2, lambda m: check_2d(m, 3, Box.cube(-3, 3, 2))),
+            (1, lambda m: check_dd(m, 1, 5, Box.interval(-9, 9))),
+            (2, lambda m: check_dd(m, 2, 3, Box.cube(-2, 3, 2))),
+            (3, lambda m: check_dd(m, 3, 2, Box.cube(-1, 2, 3))),
+        ]
+        for d, run in runs:
+            toeplitz, callback = _toeplitz_and_callback(d)
+            assert run(toeplitz).to_json() == run(callback).to_json()
+
+    def test_chunked_bases_match_one_chunk(self, monkeypatch):
+        # the sums grow with the base, so the last base is the one reported
+        m = DiscreteSymbol.callback(
+            lambda s, t: _phi(s - t) * (3.0 + 0.01 * (s[:, 0] + t[:, 0])), d=1)
+        base = Box.interval(-64, 65)  # 129 bases
+        whole = check_1d(m, 6, base).to_json()
+        sizes = []
+        counted = DiscreteSymbol.callback(
+            lambda s, t: (sizes.append(len(s)), m.eval_pairs(s, t))[1], d=1)
+        counted.name = m.name
+        # 129 pairs per base: runs of 8 bases, the 1-base remainder joins
+        # the last run
+        monkeypatch.setattr(marcinkiewicz, "_CHUNK_PAIRS", 8 * 129)
+        assert check_1d(counted, 6, base).to_json() == whole
+        assert sizes == [129 * 8] * 30 + [129 * 9] * 2
+
+    def test_chunked_bases_match_in_2d_and_dd(self, monkeypatch):
+        m2 = DiscreteSymbol.callback(
+            lambda s, t: _phi(s - t) * np.cos(0.3 * s[:, 1] - 0.1 * t[:, 0]), d=2)
+        base = Box.cube(-3, 4, 2)  # 49 bases
+        whole = [check_2d(m2, 3, base).to_json(), check_dd(m2, 2, 3, base).to_json()]
+        monkeypatch.setattr(marcinkiewicz, "_CHUNK_PAIRS", 500)
+        assert [check_2d(m2, 3, base).to_json(), check_dd(m2, 2, 3, base).to_json()] == whole
+
+    def test_triangular_check_1d_memory_bounded(self):
+        # 32769 x 129 pair tables: the parent held them whole (323 MB peak)
+        peak = _peak_bytes(lambda: check_1d(catalog("triangular"), 14,
+                                            Box.interval(-64, 65)))
+        assert peak < 128 * 2**20
+
+    def test_toeplitz_check_2d_memory_bounded(self):
+        m = load_symbol({"kind": "toeplitz", "d": 2,
+                         "phi": "cos(0.83*k1 + 1.21*k2) / (1 + k1*k1 + k2*k2)"})
+        peak = _peak_bytes(lambda: check_2d(m, 5, Box.cube(-8, 8, 2)))
+        assert peak < 8 * 2**20
+
+
 class TestParallelogramCells:
-    def test_vertices_and_membership(self):
-        cell = ParallelogramIndex(2, 3, -1)
-        (x0, y0) = cell.map_unit(0.0, 0.0)
-        assert (x0, y0) == (0.75, -0.25)
-        assert cell.contains(*cell.map_unit(0.3, 0.7))
-        assert not cell.contains(*cell.map_unit(1.01, 0.5))
+    # the sheared cell (s, t) at scale k is the image of the unit square
+    # under (u, v) -> ((s + u)/2^k, (t + v + u)/2^k)
+
+    def test_cell_centroids(self):
+        # averaging M = x and M = y over a cell gives its centroid
+        # ((s + 1/2)/2^k, (t + 1)/2^k)
+        x = ContinuousSymbol(lambda x, y: np.asarray(x, dtype=np.complex128) + 0 * y)
+        y = ContinuousSymbol(lambda x, y: np.asarray(y, dtype=np.complex128) + 0 * x)
+        s = np.arange(-3.0, 4.0)
+        t = np.arange(-5.0, 2.0)
+        for k in (0, 2, 3):
+            h = 2.0**-k
+            cx = marcinkiewicz._cell_averages(x, s, t, k, 8)
+            cy = marcinkiewicz._cell_averages(y, s, t, k, 8)
+            assert np.abs(cx - ((s + 0.5) * h)[:, None]).max() < 1e-14
+            assert np.abs(cy - ((t + 1.0) * h)[None, :]).max() < 1e-14
 
     def test_cells_tile_without_overlap(self):
-        # a point belongs to exactly one cell at each scale
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            k = int(rng.integers(0, 4))
-            x, y = rng.uniform(-2, 2, size=2)
-            h = 2.0**-k
-            a = math.floor(x / h)
-            b = math.floor(y / h - (x / h - a))
-            assert ParallelogramIndex(k, a, b).contains(x, y)
+        # the cell (s, t) at scale k is the union of the four cells
+        # (2s + a, 2t + a + b), a, b in {0, 1}, at scale k + 1, so its
+        # average is their mean (the order-8 rule is exact on a cubic)
+        M = ContinuousSymbol(
+            lambda x, y: (x**3 - 2.0 * x * y**2 + 0.5j * y + 1.0).astype(np.complex128))
+        s = np.arange(-4.0, 5.0)
+        t = np.arange(-3.0, 4.0)
+        for k in (1, 2, 4):
+            coarse = marcinkiewicz._cell_averages(M, s, t, k, 8)
+            fine = sum(marcinkiewicz._cell_averages(M, 2 * s + a, 2 * t + a + b, k + 1, 8)
+                       for a in (0, 1) for b in (0, 1))
+            assert np.abs(coarse - fine / 4.0).max() < 1e-13
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):
-            ParallelogramIndex(-1, 0, 0)
+            discretize_continuous(catalog("continuous_constant"), -1, Box.interval(0, 2))
 
 
 class TestDiscretize:

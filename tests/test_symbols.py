@@ -67,6 +67,25 @@ class TestDiscreteSymbol:
         c = a * a
         assert c((1,), (0,)) == 1.0 and c((0,), (1,)) == 0.0
 
+    def test_toeplitz_products_stay_toeplitz(self):
+        # same values as the callback form, so the variation checks may
+        # evaluate them at one base
+        a = catalog("lacunary_toeplitz", seed=1)
+        b = load_symbol({"kind": "toeplitz", "d": 1,
+                         "phi": "exp(0.37i*k1)*cos(0.7*k1)/(1+abs(k1))^0.5"})
+        s = np.arange(-40, 41).reshape(-1, 1)
+        t = s[::-1] // 3
+        cases = [
+            (3.0 * a, lambda s, t: 3.0 * a.eval_pairs(s, t)),
+            (b * (0.5 - 2j), lambda s, t: (0.5 - 2j) * b.eval_pairs(s, t)),
+            (a * b, lambda s, t: a.eval_pairs(s, t) * b.eval_pairs(s, t)),
+        ]
+        for prod, form in cases:
+            assert prod.kind == "toeplitz"
+            assert np.array_equal(prod.eval_pairs(s, t),
+                                  DiscreteSymbol.callback(form).eval_pairs(s, t))
+        assert (a * catalog("triangular")).kind == "callback"
+
     def test_dimension_mismatch_product(self):
         with pytest.raises(SymbolError):
             catalog("triangular") * catalog("constant_one", d=2)
