@@ -14,13 +14,10 @@ from .lattice import (
     Box,
     DyadicIndex,
     alpha_merge,
-    alpha_project,
-    backward_difference,
     dyadic_block_contains,
     dyadic_block_points,
     forward_difference,
     fundamental_theorem_expand,
-    split_block_2d,
 )
 from .schatten import (
     LabeledMatrix,
@@ -75,9 +72,8 @@ from .estimator import (
 
 __all__ = [
     "__version__",
-    "AlphaMask", "Box", "DyadicIndex", "alpha_merge", "alpha_project",
-    "backward_difference", "dyadic_block_contains", "dyadic_block_points",
-    "forward_difference", "fundamental_theorem_expand", "split_block_2d",
+    "AlphaMask", "Box", "DyadicIndex", "alpha_merge", "dyadic_block_contains",
+    "dyadic_block_points", "forward_difference", "fundamental_theorem_expand",
     "LabeledMatrix", "QuadratureGrid", "cs_gap", "lp_sp_norm",
     "schatten_norm", "square_function_norm",
     "ContinuousSymbol", "DiscreteSymbol", "SymbolError", "WindowCapError",

@@ -20,10 +20,7 @@ __all__ = [
     "aspoint",
     "dyadic_block_contains",
     "dyadic_block_points",
-    "split_block_2d",
     "forward_difference",
-    "backward_difference",
-    "alpha_project",
     "alpha_merge",
     "fundamental_theorem_expand",
 ]
@@ -48,8 +45,8 @@ def aspoint(n, d=None):
 class Box:
     """Product of half-open integer intervals [lo_i, hi_i).
 
-    Points are enumerated in lexicographic order; ``index`` and ``point_at``
-    convert between points and flat positions in that order.
+    Points are enumerated in lexicographic order; ``index`` and
+    ``index_array`` give a point's flat position in that order.
     """
 
     los: tuple
@@ -129,22 +126,6 @@ class Box:
             strides[i] = strides[i + 1] * sizes[i + 1]
         idx = np.where(valid[:, None], offs, 0) @ strides
         return idx, valid
-
-    def point_at(self, idx):
-        if not 0 <= idx < self.npoints:
-            raise IndexError(idx)
-        coords = []
-        for s in reversed(self.sizes):
-            coords.append(idx % s)
-            idx //= s
-        return tuple(l + c for l, c in zip(self.los, reversed(coords)))
-
-    def shift(self, v):
-        v = aspoint(v, self.d)
-        return Box(
-            tuple(l + x for l, x in zip(self.los, v)),
-            tuple(h + x for h, x in zip(self.his, v)),
-        )
 
     def product(self, other):
         """Cartesian product box (dimensions concatenate)."""
@@ -243,27 +224,6 @@ def dyadic_block_points(j, d=None):
     return pts[sup >= 2 ** (level - 1)]
 
 
-def split_block_2d(j):
-    """The four half-open rectangles partitioning E_j in Z^2 (j >= 1).
-
-    With I = [2**(j-1), 2**j) and J = [-2**(j-1)+1, 2**j) the pieces are
-    J x I, (-I) x J, I x (-J), (-J) x (-I), listed in that order.
-    """
-    if j < 1:
-        raise ValueError("the rectangle split needs j >= 1")
-    h, f = 2 ** (j - 1), 2**j
-    i_lo, i_hi = h, f
-    j_lo, j_hi = -h + 1, f
-    neg_i = (-f + 1, -h + 1)  # {-n : n in I} as a half-open interval
-    neg_j = (-f + 1, h)
-    return (
-        Box((j_lo, i_lo), (j_hi, i_hi)),
-        Box((neg_i[0], j_lo), (neg_i[1], j_hi)),
-        Box((i_lo, neg_j[0]), (i_hi, neg_j[1])),
-        Box((neg_j[0], neg_i[0]), (neg_j[1], neg_i[1])),
-    )
-
-
 def _asorder(alpha, d=None):
     """Normalize a difference order to a tuple of nonnegative ints."""
     if isinstance(alpha, AlphaMask):
@@ -295,25 +255,11 @@ def forward_difference(phi, alpha, xi):
     return total
 
 
-def backward_difference(phi, alpha, xi):
-    """Mixed backward difference; equals the forward difference at xi - alpha."""
-    xi = aspoint(xi)
-    order = _asorder(alpha, len(xi))
-    shifted = tuple(x - a for x, a in zip(xi, order))
-    return forward_difference(phi, order, shifted)
-
-
-def alpha_project(n, alpha):
-    """Coordinates of ``n`` along the directions selected by ``alpha``."""
-    pt = aspoint(n)
-    mask = AlphaMask(alpha)
-    if mask.d != len(pt):
-        raise ValueError("mask and point dimensions differ")
-    return tuple(pt[i] for i in mask.axes)
-
-
 def alpha_merge(n_alpha, n_rest, alpha):
-    """Inverse of :func:`alpha_project`: interleave the two coordinate groups."""
+    """Point whose ``alpha`` coordinates are ``n_alpha`` and the rest ``n_rest``.
+
+    Both groups are listed in axis order and interleaved as ``alpha`` marks.
+    """
     mask = AlphaMask(alpha)
     n_alpha = tuple(n_alpha)
     n_rest = tuple(n_rest)

@@ -503,44 +503,89 @@ def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
     return DiscreteSymbol.dense(window, window, entries, name=name)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float,
+# Panels refined per integrand call. Larger rounds cost memory, and on a
+# failing integrand they refine panels that lie after the first failure.
+_SIMPSON_BATCH = 256
+
+
+def _adaptive_simpson(f, intervals, tol: float,
                       initial_panels: int = 8, max_depth: int = 28):
-    """Adaptive Simpson integration of a vector-valued integrand.
+    """Adaptive Simpson integration (Lyness 1969) of vector-valued integrands.
 
-    ``f`` maps a scalar abscissa to an ndarray; panels refine until the
-    worst component's Richardson error estimate passes. Raises
-    QuadratureError when the depth cap is hit with the estimate still above
-    tolerance.
+    ``f(t, which)`` maps abscissae ``t`` on the intervals ``which`` (indices
+    into ``intervals``, a list of (a, b) pairs) to a ``(len(t), C)`` array;
+    the result is ``(len(intervals), C)``. Each interval starts as
+    ``initial_panels`` equal panels at tolerance ``tol / initial_panels``. A
+    panel passes when its worst component's error |Sl + Sr - S| is at most
+    15 times its tolerance; otherwise it splits into halves at half the
+    tolerance. The panels wait in depth-first order, and each round refines
+    the first ``_SIMPSON_BATCH`` of them with one call of ``f`` on their two
+    new nodes. A split panel's value is its left plus its right half and an
+    interval adds its initial panels left to right, so every sum is the one
+    the depth-first recursion forms. Raises QuadratureError for the first
+    panel, in depth-first order, still failing after ``max_depth`` halvings.
     """
-    if b <= a:
+    bounds = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    if np.any(bounds[:, 1] <= bounds[:, 0]):
         raise ValueError("empty integration interval")
-    initial_panels = max(1, int(initial_panels))
-
-    def rec(lo, hi, flo, fmid, fhi, S, local_tol, depth):
+    n = max(1, int(initial_panels))
+    edges = np.linspace(bounds[:, 0], bounds[:, 1], n + 1, axis=1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    mid = 0.5 * (lo + hi)
+    root = np.arange(len(lo))  # initial panel: interval * n + position
+    flo, fmid, fhi = np.split(f(np.concatenate([lo, mid, hi]), np.tile(root // n, 3)), 3)
+    ptol = np.full(len(lo), tol / n)
+    level = np.zeros(len(lo), dtype=np.int64)  # halvings below the root
+    path = np.zeros(len(lo), dtype=np.int64)  # left (0) / right (1) turns
+    work = [lo, hi, flo, fmid, fhi, ptol, root, level, path]
+    leaves = []
+    while len(work[0]):
+        batch = [a[:_SIMPSON_BATCH] for a in work]
+        rest = [a[_SIMPSON_BATCH:] for a in work]
+        lo, hi, flo, fmid, fhi, ptol, root, level, path = batch
+        # each panel's Simpson value, by the expression that first formed it
+        S = ((hi - lo) / 6.0)[:, None] * (flo + 4.0 * fmid + fhi)
         mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        Sl = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        Sr = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = float(np.max(np.abs(Sl + Sr - S)))
-        if err <= 15.0 * local_tol:
-            return Sl + Sr + (Sl + Sr - S) / 15.0
-        if depth <= 0:
+        flm, frm = np.split(f(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)]),
+                              np.tile(root // n, 2)), 2)
+        Sl = ((mid - lo) / 6.0)[:, None] * (flo + 4.0 * flm + fmid)
+        Sr = ((hi - mid) / 6.0)[:, None] * (fmid + 4.0 * frm + fhi)
+        both = Sl + Sr
+        err = np.abs(both - S).max(axis=1)
+        ok = err <= 15.0 * ptol
+        leaves.append((root[ok], level[ok], path[ok],
+                       both[ok] + (both[ok] - S[ok]) / 15.0))
+        split = ~ok
+        # A panel is refined no later than any panel after it, so the first
+        # one to stall is also the first in depth-first order.
+        stalled = np.flatnonzero(split & (level >= max_depth))
+        if len(stalled):
+            k = stalled[0]
             raise QuadratureError(
-                f"adaptive quadrature stalled on [{lo:g}, {hi:g}] with error {err:.3e}"
+                f"adaptive quadrature stalled on [{lo[k]:g}, {hi[k]:g}] "
+                f"with error {err[k]:.3e}"
             )
-        return rec(lo, mid, flo, flm, fmid, Sl, local_tol / 2.0, depth - 1) + rec(
-            mid, hi, fmid, frm, fhi, Sr, local_tol / 2.0, depth - 1
-        )
+        halves = [(lo, mid), (mid, hi), (flo, fmid), (flm, frm), (fmid, fhi),
+                  (ptol / 2.0, ptol / 2.0), (root, root),
+                  (level + 1, level + 1), (2 * path, 2 * path + 1)]
+        work = [np.concatenate([np.stack([left[split], right[split]], axis=1)
+                                .reshape((-1,) + left.shape[1:]), r])
+                for (left, right), r in zip(halves, rest)]
 
-    edges = np.linspace(a, b, initial_panels + 1)
-    total = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        flo, fmid, fhi = f(lo), f(mid), f(hi)
-        S = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-        part = rec(lo, hi, flo, fmid, fhi, S, tol / initial_panels, max_depth)
-        total = part if total is None else total + part
+    root, level, path, value = (np.concatenate(x) for x in zip(*leaves))
+    for depth in range(int(level.max()), 0, -1):
+        # siblings sit next to each other, left first
+        at = np.flatnonzero(level == depth)
+        at = at[np.lexsort((path[at], root[at]))]
+        keep = level != depth
+        root = np.concatenate([root[keep], root[at[0::2]]])
+        level = np.concatenate([level[keep], level[at[0::2]] - 1])
+        path = np.concatenate([path[keep], path[at[0::2]] // 2])
+        value = np.concatenate([value[keep], value[at[0::2]] + value[at[1::2]]])
+    parts = value[np.argsort(root)].reshape(len(bounds), n, -1)
+    total = parts[:, 0]
+    for p in range(1, n):
+        total = total + parts[:, p]
     return total
 
 
@@ -572,25 +617,34 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
     if M.d == 1:
         ys = (np.linspace(y_span[0], y_span[1], base_samples)
               if y_grid is None else np.asarray(y_grid, dtype=float))
+        # both signed halves of every shell, in level order
+        shells = [(2.0**j, 2.0 ** (j + 1)) for j in levels]
+        intervals = [iv for lo, hi in shells for iv in ((lo, hi), (-hi, -lo))]
+
+        def shifted(t):
+            # (len(t), len(ys)) arguments: the bases and the bases shifted by t
+            x = ys[None, :] + np.asarray(t)[:, None]
+            return x, np.broadcast_to(ys, x.shape)
+
+        sums = []
+        for slot in (1, 2):
+            def f(t, which, slot=slot):
+                x, y = shifted(t)
+                return np.abs(M.partial(1, x, y) if slot == 1 else M.partial(2, y, x))
+
+            res = _adaptive_simpson(f, intervals, tol, quad_order)
+            sums.append(res[0::2] + res[1::2])  # positive half + negative half
         table = []
-        c1 = 0.0
-        for j in levels:
-            lo, hi = 2.0**j, 2.0 ** (j + 1)
-            for slot, label in ((1, "d1"), (2, "d2")):
-                if slot == 1:
-                    f = lambda t: np.abs(M.partial(1, ys + t, ys))
-                else:
-                    f = lambda t: np.abs(M.partial(2, ys, ys + t))
-                vals = (_adaptive_simpson(f, lo, hi, tol, quad_order)
-                        + _adaptive_simpson(f, -hi, -lo, tol, quad_order))
+        for lvl, j in enumerate(levels):
+            for vals, label in ((sums[0][lvl], "d1"), (sums[1][lvl], "d2")):
                 i = int(np.argmax(vals))
                 table.append({
                     "level": j, "direction": label,
                     "base": float(ys[i]), "value": float(vals[i]),
                 })
-            tsamp = np.concatenate([np.linspace(lo, hi, 9), np.linspace(-hi, -lo, 9)])
-            samp = np.abs(M(ys[:, None] + tsamp[None, :], ys[:, None]))
-            c1 = max(c1, float(samp.max()))
+        x, y = shifted(np.concatenate([np.linspace(a, b, 9) for a, b in intervals]))
+        samp = np.abs(M(x, y)).reshape(len(levels), 18, len(ys))
+        c1 = max(0.0, *samp.max(axis=(1, 2)).tolist())
         report = ConditionReport(
             kind="continuous",
             symbol=M.name or "continuous",
@@ -621,41 +675,39 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
                     slot = 2 if orient == "left" else 1
                     D = M.partial_alpha(slot, alpha)
 
-                    def at(t):
-                        tt = np.broadcast_to(np.asarray(t, dtype=float), (len(ys), 2))
+                    def at(t1, t2):
+                        # (len(t), len(ys)) values at the bases shifted by (t1, t2)
+                        tt = np.stack(np.broadcast_arrays(t1, t2), axis=-1)[:, None, :]
+                        x = np.broadcast_to(ys, tt.shape[:1] + ys.shape)
                         if orient == "left":
-                            return np.abs(D(ys, ys + tt))
-                        return np.abs(D(ys + tt, ys))
+                            return np.abs(D(x, x + tt))
+                        return np.abs(D(x + tt, x))
 
                     if alpha == (1, 1):
-                        def inner(t2):
+                        # one inner solve per round of outer abscissae
+                        def inner(t2, which):
                             return _adaptive_simpson(
-                                lambda t1: at((t1, t2)), -b_edge, b_edge,
-                                tol, quad_order,
+                                lambda t1, k: at(t1, t2[k]),
+                                [(-b_edge, b_edge)] * len(t2), tol, quad_order,
                             )
 
-                        def inner_side(t1):
+                        def inner_side(t1, which):
                             return _adaptive_simpson(
-                                lambda t2: at((t1, t2)), -a_edge, a_edge,
-                                tol, quad_order,
+                                lambda t2, k: at(t1[k], t2),
+                                [(-a_edge, a_edge)] * len(t1), tol, quad_order,
                             )
 
-                        vals = (
-                            _adaptive_simpson(inner, a_edge, b_edge, tol, quad_order)
-                            + _adaptive_simpson(inner, -b_edge, -a_edge, tol, quad_order)
-                            + _adaptive_simpson(inner_side, a_edge, b_edge, tol, quad_order)
-                            + _adaptive_simpson(inner_side, -b_edge, -a_edge, tol, quad_order)
-                        )
+                        shells = [(a_edge, b_edge), (-b_edge, -a_edge)]
+                        r1 = _adaptive_simpson(inner, shells, tol, quad_order)
+                        r2 = _adaptive_simpson(inner_side, shells, tol, quad_order)
+                        vals = r1[0] + r1[1] + r2[0] + r2[1]
                     else:
                         free = 0 if alpha == (1, 0) else 1
 
-                        def line(tf):
-                            t = [0.0, 0.0]
-                            t[free] = tf
-                            t[1 - free] = b_edge
-                            return at(tuple(t))
+                        def line(tf, which):
+                            return at(tf, b_edge) if free == 0 else at(b_edge, tf)
 
-                        vals = _adaptive_simpson(line, -b_edge, b_edge, tol, quad_order)
+                        vals = _adaptive_simpson(line, [(-b_edge, b_edge)], tol, quad_order)[0]
                     i = int(np.argmax(vals))
                     table.append({
                         "level": j, "direction": f"{alpha}-{orient}",

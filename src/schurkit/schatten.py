@@ -19,7 +19,6 @@ __all__ = [
     "LabeledMatrix",
     "QuadratureGrid",
     "schatten_norm",
-    "abs_op",
     "cs_gap",
     "lp_sp_norm",
     "square_function_norm",
@@ -201,27 +200,6 @@ def _schatten_norm(A, p, matmul_even):
     if p < 1:
         warnings.warn("p < 1 yields a quasi-norm, not a norm", stacklevel=3)
     return float(np.sum(sv**p) ** (1.0 / p))
-
-
-def abs_op(A):
-    """Operator absolute value (A* A)^(1/2), a PSD matrix on the column window."""
-    if isinstance(A, LabeledMatrix):
-        rows, cols, data = A.rows, A.cols, A.data
-    else:
-        data = _values(A)
-        if data.shape[0] != data.shape[1]:
-            raise ValueError("bare arrays must be square; wrap in LabeledMatrix otherwise")
-        rows = cols = Box.interval(0, data.shape[0])
-    gram = data.conj().T @ data
-    gram = 0.5 * (gram + gram.conj().T)
-    try:
-        w, v = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"eigendecomposition failed: {exc}") from exc
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    root = 0.5 * (root + root.conj().T)
-    return LabeledMatrix(cols, cols, root)
 
 
 def cs_gap(a_seq, c_seq):

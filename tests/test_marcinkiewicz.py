@@ -375,6 +375,131 @@ class TestCheckContinuous:
         with pytest.raises(SymbolError):
             check_continuous(bad, (0, 1))
 
+    def test_d2_product_still_stalls(self):
+        # known defect (ROADMAP 5(a)): central differences of a smooth 2-d
+        # symbol are too noisy for the absolute tolerance
+        m = load_symbol({"kind": "continuous", "d": 2,
+                         "expr": "arctan(x1 - y1) * arctan(x2 - y2)"})
+        with pytest.raises(QuadratureError) as exc:
+            check_continuous(m, (0, 0))
+        assert str(exc.value) == ("adaptive quadrature stalled on "
+                                  "[-1.99414, -1.99414] with error 2.368e-15")
+
+    def test_ratio_check_memory_bounded(self):
+        # rounds of 256 panels over all 30 shells, 129 bases each
+        peak = _peak_bytes(lambda: check_continuous(catalog("continuous_ratio"), (-7, 7)))
+        assert peak < 16 * 2**20
+
+
+def _recursive_simpson(f, a, b, tol, initial_panels=8, max_depth=28):
+    # the one-panel-per-call recursion the batched rule reproduces
+    if b <= a:
+        raise ValueError("empty integration interval")
+    initial_panels = max(1, int(initial_panels))
+
+    def rec(lo, hi, flo, fmid, fhi, S, local_tol, depth):
+        mid = 0.5 * (lo + hi)
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        flm, frm = f(lm), f(rm)
+        Sl = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        Sr = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        err = float(np.max(np.abs(Sl + Sr - S)))
+        if err <= 15.0 * local_tol:
+            return Sl + Sr + (Sl + Sr - S) / 15.0
+        if depth <= 0:
+            raise QuadratureError(
+                f"adaptive quadrature stalled on [{lo:g}, {hi:g}] with error {err:.3e}"
+            )
+        return rec(lo, mid, flo, flm, fmid, Sl, local_tol / 2.0, depth - 1) + rec(
+            mid, hi, fmid, frm, fhi, Sr, local_tol / 2.0, depth - 1
+        )
+
+    edges = np.linspace(a, b, initial_panels + 1)
+    total = None
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        flo, fmid, fhi = f(lo), f(mid), f(hi)
+        S = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+        part = rec(lo, hi, flo, fmid, fhi, S, tol / initial_panels, max_depth)
+        total = part if total is None else total + part
+    return total
+
+
+_SHELLS = [iv for j in range(-7, 8)
+           for iv in ((2.0**j, 2.0 ** (j + 1)), (-2.0 ** (j + 1), -2.0**j))]
+
+
+class TestBatchedSimpson:
+    @pytest.mark.parametrize("batch", [1, 3, None])
+    @pytest.mark.parametrize("panels", [1, 8, 16])
+    @pytest.mark.parametrize("name", ["continuous_arctan", "continuous_ratio"])
+    def test_matches_recursion_bit_for_bit(self, monkeypatch, name, panels, batch):
+        # small batches split sibling panels across rounds
+        if batch is not None:
+            monkeypatch.setattr(marcinkiewicz, "_SIMPSON_BATCH", batch)
+        M = catalog(name)
+        ys = np.linspace(-4.0, 4.0, 129)
+
+        def batched(t, which):
+            x = ys[None, :] + t[:, None]
+            return np.abs(M.partial(1, x, np.broadcast_to(ys, x.shape)))
+
+        got = marcinkiewicz._adaptive_simpson(batched, _SHELLS, 1e-9, panels)
+        want = np.stack([
+            _recursive_simpson(lambda t: np.abs(M.partial(1, ys + t, ys)),
+                               a, b, 1e-9, panels)
+            for a, b in _SHELLS])
+        assert got.shape == (30, 129)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("batch", [1, 3, None])
+    def test_nested_solves_match_recursion(self, monkeypatch, batch):
+        # the outer integrand solves one inner interval per abscissa;
+        # ``which`` tells it the abscissa
+        if batch is not None:
+            monkeypatch.setattr(marcinkiewicz, "_SIMPSON_BATCH", batch)
+        c = np.array([0.5, 1.0, 2.0])
+
+        def g(t1, t2):
+            return 1.0 / (1.0 + c * (t1 - t2) ** 2)
+
+        def outer(t2, which):
+            return marcinkiewicz._adaptive_simpson(
+                lambda t1, k: g(t1[:, None], t2[k][:, None]),
+                [(-1.0, 2.0)] * len(t2), 1e-6, 2)
+
+        shells = [(1.0, 2.0), (-2.0, -1.0)]
+        got = marcinkiewicz._adaptive_simpson(outer, shells, 1e-6, 2)
+        want = [_recursive_simpson(
+                    lambda t2: _recursive_simpson(lambda t1: g(t1, t2), -1.0, 2.0, 1e-6, 2),
+                    a, b, 1e-6, 2)
+                for a, b in shells]
+        assert np.array_equal(got, np.stack(want))
+
+    @pytest.mark.parametrize("batch", [1, 3, None])
+    def test_stall_reports_the_first_failing_panel(self, monkeypatch, batch):
+        # jumps at 0.3, 0.7 and 1.6 never pass; the recursion meets 0.3 first
+        if batch is not None:
+            monkeypatch.setattr(marcinkiewicz, "_SIMPSON_BATCH", batch)
+        c = np.array([1.0, 2.0])
+
+        def step(t):
+            return ((t > 0.3) + (t > 0.7) + (t > 1.6))[..., None] * c
+
+        intervals = [(-1.0, 0.2), (0.0, 1.0), (1.0, 2.0)]
+        with pytest.raises(QuadratureError) as want:
+            for a, b in intervals:
+                _recursive_simpson(step, a, b, 1e-12, 8, 6)
+        with pytest.raises(QuadratureError) as got:
+            marcinkiewicz._adaptive_simpson(lambda t, k: step(t), intervals, 1e-12, 8, 6)
+        assert str(got.value) == str(want.value)
+        assert "[0.298828, 0.300781]" in str(got.value)
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError):
+            marcinkiewicz._adaptive_simpson(lambda t, k: t[:, None], [(0.0, 1.0), (2.0, 2.0)],
+                                            1e-9)
+
 
 class TestConditionReport:
     def test_json_roundtrip(self):

@@ -24,7 +24,6 @@ from schurkit.schatten import (
     _grid_chunks,
     _svd_schatten_norm,
     _trace_power,
-    abs_op,
 )
 
 
@@ -121,22 +120,6 @@ class TestSchattenNorm:
         w = Box.interval(0, 2)
         with pytest.warns(UserWarning):
             schatten_norm(LabeledMatrix.identity(w), 0.5)
-
-
-class TestAbsOp:
-    def test_square_of_abs_is_gram(self):
-        rng = np.random.default_rng(3)
-        A = _random(Box.interval(0, 4), Box.interval(0, 4), rng)
-        R = abs_op(A)
-        assert np.allclose(R.data @ R.data, A.data.conj().T @ A.data, atol=1e-12)
-
-    def test_psd(self):
-        rng = np.random.default_rng(4)
-        A = _random(Box.interval(0, 5), Box.interval(0, 3), rng)
-        R = abs_op(A)
-        assert R.rows == A.cols
-        w = np.linalg.eigvalsh(R.data)
-        assert w.min() >= -1e-12
 
 
 class TestCsGap:
