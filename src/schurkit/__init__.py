@@ -14,7 +14,6 @@ from .lattice import (
     Box,
     DyadicIndex,
     alpha_merge,
-    dyadic_block_contains,
     dyadic_block_points,
     forward_difference,
     fundamental_theorem_expand,
@@ -35,7 +34,6 @@ from .symbols import (
     catalog,
     catalog_names,
     load_symbol,
-    restrict_window,
 )
 from .marcinkiewicz import (
     ConditionReport,
@@ -47,12 +45,10 @@ from .marcinkiewicz import (
     discretize_continuous,
 )
 from .transference import (
-    DiagonalOp,
     LpReport,
     MatTrigPoly,
     apply_fourier_multiplier,
     cutoff_profile,
-    diag_symbols,
     freq_project,
     is_pi_image,
     lp_experiment,
@@ -72,17 +68,17 @@ from .estimator import (
 
 __all__ = [
     "__version__",
-    "AlphaMask", "Box", "DyadicIndex", "alpha_merge", "dyadic_block_contains",
+    "AlphaMask", "Box", "DyadicIndex", "alpha_merge",
     "dyadic_block_points", "forward_difference", "fundamental_theorem_expand",
     "LabeledMatrix", "QuadratureGrid", "cs_gap", "lp_sp_norm",
     "schatten_norm", "square_function_norm",
     "ContinuousSymbol", "DiscreteSymbol", "SymbolError", "WindowCapError",
-    "catalog", "catalog_names", "load_symbol", "restrict_window",
+    "catalog", "catalog_names", "load_symbol",
     "ConditionReport", "QuadratureError",
     "check_1d", "check_2d", "check_continuous", "check_dd",
     "discretize_continuous",
-    "DiagonalOp", "LpReport", "MatTrigPoly", "apply_fourier_multiplier",
-    "cutoff_profile", "diag_symbols", "freq_project", "is_pi_image",
+    "LpReport", "MatTrigPoly", "apply_fourier_multiplier",
+    "cutoff_profile", "freq_project", "is_pi_image",
     "lp_experiment", "max_coeff_diff", "pi_embed", "smooth_cutoff",
     "summation_by_parts_1d", "summation_by_parts_2d",
     "EstimateResult", "apply_schur", "cb_lower_bound", "growth_experiment",

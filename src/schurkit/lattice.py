@@ -18,7 +18,6 @@ __all__ = [
     "AlphaMask",
     "DyadicIndex",
     "aspoint",
-    "dyadic_block_contains",
     "dyadic_block_points",
     "forward_difference",
     "alpha_merge",
@@ -162,16 +161,9 @@ class AlphaMask(tuple):
     def axes(self):
         return tuple(i for i, b in enumerate(self) if b)
 
-    def complement(self):
-        return AlphaMask(tuple(1 - b for b in self))
-
     @classmethod
     def all_masks(cls, d):
         return [cls(bits) for bits in itertools.product((0, 1), repeat=d)]
-
-    @classmethod
-    def nonzero_masks(cls, d):
-        return [m for m in cls.all_masks(d) if m.weight > 0]
 
 
 @dataclass(frozen=True)
@@ -186,26 +178,6 @@ class DyadicIndex:
             raise ValueError("dyadic level must be >= 0")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-
-
-def dyadic_block_contains(j, n, d=None):
-    """Whether a point lies in the dyadic block E_j.
-
-    ``j`` may be a :class:`DyadicIndex` or a plain level (then the dimension
-    is taken from ``n``).
-    """
-    if isinstance(j, DyadicIndex):
-        pt = aspoint(n, j.d)
-        level = j.j
-    else:
-        pt = aspoint(n, d)
-        level = int(j)
-        if level < 0:
-            raise ValueError("dyadic level must be >= 0")
-    sup = max(abs(x) for x in pt)
-    if level == 0:
-        return sup == 0
-    return 2 ** (level - 1) <= sup < 2**level
 
 
 def dyadic_block_points(j, d=None):

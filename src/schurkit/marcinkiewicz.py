@@ -133,61 +133,84 @@ def _bases_array(base_range: Box, d: int) -> np.ndarray:
     return pts
 
 
-# Symbol pairs per base chunk: about 16 MB of complex values, the size of
+# Symbol pairs per run of bases: about 16 MB of complex values, the size of
 # the Schatten kernels' grid chunks.
 _CHUNK_PAIRS = 1 << 20
 
+_ORIENTS = ("left", "right")
 
-def _walk_bases(m: DiscreteSymbol, bases, per_base: int, shape, sums_of):
-    """Variation sums at every base, as an array of ``shape + (len(bases),)``.
 
-    ``sums_of(pts, n)`` evaluates m at the base points ``pts`` (a run of
-    ``bases``, ``per_base`` symbol pairs each) and returns their sums with
-    the bases on the last axis; ``n`` is the number of bases the run stands
-    for. A Toeplitz symbol m(s, t) = phi(s - t) has the same sums at every
-    base, so its first base is evaluated once and stands for all of them.
-    Other symbols go in runs of about ``_CHUNK_PAIRS`` pairs and at least two
-    bases: summed down its rows, a one-column table adds pairwise and
-    rounds differently from a wider one, which adds row by row.
+def _difference(V, alpha):
+    """Mixed differences along the axis mask alpha of hull values V.
+
+    V holds the values at every hull offset, bases on the first axis. Entry
+    t of the result is the sum over beta <= alpha of (-1)^|alpha - beta|
+    V[t + beta], for every offset t whose t + 1 still lies in the hull; the
+    terms are added in the order product() lists the beta.
     """
-    nb = len(bases)
-    out = np.empty(tuple(shape) + (nb,))
-    if m.kind == "toeplitz":
-        out[...] = sums_of(bases[:1], nb)
-        return out
-    width = max(2, _CHUNK_PAIRS // max(1, per_base))
-    starts = list(range(0, nb, width))
-    if len(starts) > 1 and nb - starts[-1] == 1:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [nb]):
-        out[..., lo:hi] = sums_of(bases[lo:hi], hi - lo)
-    return out
+    n = V.shape[1] - 1
+    betas = list(product(*[(0, 1) if bit else (0,) for bit in alpha]))
+
+    def at(beta):
+        return V[(slice(None),) + tuple(slice(b, b + n) for b in beta)]
+
+    # the first two terms differ in sign: one subtraction rounds as their sum
+    if (sum(alpha) - sum(betas[0])) % 2:
+        D = at(betas[1]) - at(betas[0])
+    else:
+        D = at(betas[0]) - at(betas[1])
+    for beta in betas[2:]:
+        if (sum(alpha) - sum(beta)) % 2:
+            D -= at(beta)
+        else:
+            D += at(beta)
+    return D
 
 
-def _mixed_sums(m: DiscreteSymbol, pts, T, alpha):
-    """Per-base sums over t in T of |mixed difference of m along alpha|.
+def _variation_sums(m: DiscreteSymbol, bases, hull: Box, regions):
+    """Per-base sums of |mixed difference of m| over regions of offsets.
 
-    The difference runs over the offsets beta <= alpha of the second point
-    s + t + beta, in both argument orders. Returns the (2, len(pts)) sums,
-    order (s, s + t + beta) first, and the largest |m| evaluated.
+    ``regions`` lists (alpha, offsets) pairs. The difference along the axis
+    mask alpha anchored at an offset t (a row of the (k, d) array
+    ``offsets``) takes m at s + t + beta for beta <= alpha, in the argument
+    order m(s, s + t + beta) ("left") or m(s + t + beta, s) ("right"); every
+    such offset must lie in ``hull``, a cube. Returns the sums as an array
+    (region, orientation, base) in ``_ORIENTS`` order, and the largest |m|
+    over the hull.
+
+    m is evaluated once per run of bases and orientation, at every hull
+    offset, and each region's sum runs along one base's row of differences
+    in the order of its offsets, so the run width does not change a sum. A
+    Toeplitz symbol m(s, t) = phi(s - t) has the same sums at every base,
+    so its first base stands for all of them; other symbols go in runs of
+    about ``_CHUNK_PAIRS`` pairs.
     """
-    SS = np.repeat(pts, len(T), axis=0)
-    TT = SS + np.tile(T, (len(pts), 1))
-    subsets = list(product(*[(0, 1) if bit else (0,) for bit in alpha]))
-    out = np.empty((2, len(pts)))
-    peak = 0.0
-    for o in range(2):
-        acc = np.zeros(len(SS), dtype=np.complex128)
-        for beta in subsets:
-            sign = (-1) ** (sum(alpha) - sum(beta))
-            a_pts, b_pts = SS, TT + np.asarray(beta, dtype=np.int64)
-            if o:
-                a_pts, b_pts = b_pts, a_pts
-            vals = m.eval_pairs(a_pts, b_pts)
-            peak = max(peak, float(np.abs(vals).max(initial=0.0)))
-            acc = acc + sign * vals
-        out[o] = np.abs(acc).reshape(len(pts), len(T)).sum(axis=1)
-    return out, peak
+    d, side = hull.d, hull.sizes[0]
+    offsets = hull.points_array()
+    lo = np.asarray(hull.los)
+    by_alpha = {}
+    for r, (alpha, anchors) in enumerate(regions):
+        idx = np.ravel_multi_index(tuple((anchors - lo).T), (side - 1,) * d)
+        by_alpha.setdefault(tuple(alpha), []).append((r, idx))
+    walk = bases[:1] if m.kind == "toeplitz" else bases
+    width = max(1, _CHUNK_PAIRS // len(offsets))
+    sums = np.empty((len(regions), 2, len(walk)))
+    c1 = 0.0
+    for start in range(0, len(walk), width):
+        pts = walk[start:start + width]
+        S = np.repeat(pts, len(offsets), axis=0)
+        T = (pts[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+        for o in range(2):
+            V = m.eval_pairs(S, T) if o == 0 else m.eval_pairs(T, S)
+            c1 = max(c1, float(np.abs(V).max(initial=0.0)))
+            V = V.reshape((len(pts),) + (side,) * d)
+            for alpha, members in by_alpha.items():
+                D = np.abs(_difference(V, alpha)).reshape(len(pts), -1)
+                for r, idx in members:
+                    sums[r, o, start:start + len(pts)] = np.take(D, idx, axis=1).sum(axis=1)
+            # free this orientation's arrays before the next evaluation
+            del V, D
+    return np.broadcast_to(sums, sums.shape[:2] + (len(bases),)), c1
 
 
 def check_1d(m: DiscreteSymbol, N_max: int, base_range: Box) -> ConditionReport:
@@ -202,51 +225,32 @@ def check_1d(m: DiscreteSymbol, N_max: int, base_range: Box) -> ConditionReport:
         raise ValueError("check_1d needs a one-dimensional symbol")
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    bases = _bases_array(base_range, 1)[:, 0]
+    bases = _bases_array(base_range, 1)
     top = 1 << N_max
-    ks = np.arange(-top, top + 1, dtype=np.int64)
-    # per level, inclusive k ranges summed for each table: the two-sided
-    # block, then the signed halves "+" and "-" without the difference that
-    # leaves the half
-    spans = []
+    # per level: the two-sided block, then the signed halves "+" and "-"
+    # without the difference that leaves the half
+    regions = []
     for N in range(1, N_max + 1):
         a, b = 1 << (N - 1), 1 << N
-        spans.append([
-            [(a, b - 1), (-b + 1, -a)],
-            [(a, b - 2)],
-            [(-b + 1, -a - 1)],
-        ])
-    peaks = np.zeros(2)
-
-    def sums_of(pts, n):
-        KJ = (ks[:, None] + pts[None, :]).reshape(-1, 1)
-        JJ = np.broadcast_to(pts[None, :], (len(ks), len(pts))).reshape(-1, 1)
-        out = np.empty((N_max, 2, 3, n))
-        for i, (S, T) in enumerate(((KJ, JJ), (JJ, KJ))):
-            V = m.eval_pairs(S, T).reshape(len(ks), len(pts))
-            peaks[i] = np.maximum(peaks[i], np.abs(V).max())
-            # row r holds the difference at k = r - top; a Toeplitz run's one
-            # column is summed as n columns, which rounds as the whole table
-            D = np.broadcast_to(np.abs(np.diff(V, axis=0)), (len(ks) - 1, n))
-            for lvl, groups in enumerate(spans):
-                for g, ranges in enumerate(groups):
-                    out[lvl, i, g] = sum(D[lo + top:hi + top + 1].sum(axis=0)
-                                         for lo, hi in ranges)
-        return out
-
-    sums = _walk_bases(m, bases, len(ks), (N_max, 2, 3), sums_of)
+        regions += [((1,), dyadic_block_points(N, 1)),
+                    ((1,), np.arange(a, b - 1)[:, None]),
+                    ((1,), np.arange(-b + 1, -a)[:, None])]
+    sums, c1 = _variation_sums(m, bases, Box.interval(-top, top + 1), regions)
+    sums = sums.reshape(N_max, 3, 2, -1)
+    # "row" differences the first argument: the "right" orientation
+    directions = ((1, "row"), (0, "col"))
 
     def row(lvl, direction, s):
         i = int(np.argmax(s))
         return {"level": lvl + 1, "direction": direction,
-                "base": int(bases[i]), "value": float(s[i])}
+                "base": int(bases[i, 0]), "value": float(s[i])}
 
     table = []
     within = []
     for lvl in range(N_max):
-        table += [row(lvl, d, sums[lvl, i, 0]) for i, d in enumerate(("row", "col"))]
-        within += [row(lvl, d + sign, sums[lvl, i, g])
-                   for i, d in enumerate(("row", "col"))
+        table += [row(lvl, d, sums[lvl, 0, o]) for o, d in directions]
+        within += [row(lvl, d + sign, sums[lvl, g, o])
+                   for o, d in directions
                    for g, sign in ((1, "+"), (2, "-"))]
 
     report = ConditionReport(
@@ -254,7 +258,7 @@ def check_1d(m: DiscreteSymbol, N_max: int, base_range: Box) -> ConditionReport:
         symbol=getattr(m, "name", None) or "symbol",
         d=1,
         table=table,
-        c1=float(max(peaks[0], peaks[1])),
+        c1=c1,
         c2=float(max(r["value"] for r in table)),
         within_table=within,
         within_block_sup=float(max(r["value"] for r in within)),
@@ -278,7 +282,9 @@ def _growth_flag(per_level: list[float]) -> bool:
     return r1 >= 1.5 and r2 >= 1.5
 
 
-_ORIENTS = ("left", "right")
+def _level_hull(k_max: int, d: int) -> Box:
+    # every offset a level-k difference reaches, k <= k_max
+    return Box.cube(-(1 << k_max) + 1, (1 << k_max) + 1, d)
 
 
 def check_2d(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
@@ -294,49 +300,34 @@ def check_2d(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     bases = _bases_array(base_range, 2)
-    c1 = 0.0
-    table = []
-    edge_by_level = {"left": [], "right": []}
-
+    # per level: the four edge lines, then the shell
+    regions = []
     for k in range(1, k_max + 1):
         half, full = 1 << (k - 1), 1 << k
-        tfree = np.arange(-full + 1, full + 1, dtype=np.int64)  # one past for diffs
-        edges = []
+        free = np.arange(-full + 1, full)
         for axis in (0, 1):
             for side in (half, -half):
-                T = np.zeros((len(tfree), 2), dtype=np.int64)
-                T[:, axis] = tfree
-                T[:, 1 - axis] = side
-                edges.append(T)
-        shell = dyadic_block_points(k, 2)
+                T = np.full((len(free), 2), side)
+                T[:, axis] = free
+                regions.append(((1 - axis, axis), T))
+        regions.append(((1, 1), dyadic_block_points(k, 2)))
+    sums, c1 = _variation_sums(m, bases, _level_hull(k_max, 2), regions)
+    sums = sums.reshape(k_max, 5, 2, -1)
 
-        def level_sums(pts, n):
-            nonlocal c1
-            out = np.zeros((2, 2, len(pts)))  # (edge, mixed) x orientation
-            SS = np.repeat(pts, len(tfree), axis=0)
-            for T in edges:
-                # s + t for every base, extended one step along the free axis
-                TT = SS + np.tile(T, (len(pts), 1))
-                for o in range(2):
-                    vals = m.eval_pairs(SS, TT) if o == 0 else m.eval_pairs(TT, SS)
-                    c1 = max(c1, float(np.abs(vals).max(initial=0.0)))
-                    vals = vals.reshape(len(pts), len(tfree))
-                    out[0, o] += np.abs(np.diff(vals, axis=1)).sum(axis=1)
-            out[1], peak = _mixed_sums(m, pts, shell, (1, 1))
-            c1 = max(c1, peak)
-            return out
-
-        sums = _walk_bases(m, bases, len(shell), (2, 2), level_sums)
-        for part, label in enumerate(("edge", "mixed")):
+    table = []
+    edge_by_level = {"left": [], "right": []}
+    for k in range(1, k_max + 1):
+        s = sums[k - 1]
+        for label, part in (("edge", s[0] + s[1] + s[2] + s[3]), ("mixed", s[4])):
             for o, orient in enumerate(_ORIENTS):
-                i = int(np.argmax(sums[part, o]))
+                i = int(np.argmax(part[o]))
                 table.append({
                     "level": k, "direction": f"{label}-{orient}",
                     "base": tuple(int(v) for v in bases[i]),
-                    "value": float(sums[part, o, i]),
+                    "value": float(part[o, i]),
                 })
                 if label == "edge":
-                    edge_by_level[orient].append(float(sums[part, o].max()))
+                    edge_by_level[orient].append(float(part[o].max()))
 
     edge_rows = [r["value"] for r in table if r["direction"].startswith("edge")]
     mixed_rows = [r["value"] for r in table if r["direction"].startswith("mixed")]
@@ -374,10 +365,8 @@ def check_dd(m: DiscreteSymbol, d: int, k_max: int, base_range: Box,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     bases = _bases_array(base_range, d)
-    c1 = 0.0
-    table = []
     masks = [alpha for alpha in product((0, 1), repeat=d) if any(alpha)]
-
+    regions = []
     for k in range(1, k_max + 1):
         half, full = 1 << (k - 1), 1 << k
         for alpha in masks:
@@ -390,22 +379,19 @@ def check_dd(m: DiscreteSymbol, d: int, k_max: int, base_range: Box,
                 T = np.full((grids[0].size, d), half, dtype=np.int64)
                 for ax, g in zip(free_axes, grids):
                     T[:, ax] = g.ravel()
+            regions.append((alpha, T))
+    sums, c1 = _variation_sums(m, bases, _level_hull(k_max, d), regions)
 
-            def mask_sums(pts, n):
-                nonlocal c1
-                out, peak = _mixed_sums(m, pts, T, alpha)
-                c1 = max(c1, peak)
-                return out
-
-            sums = _walk_bases(m, bases, len(T), (2,), mask_sums)
-            for o, orient in enumerate(_ORIENTS):
-                i = int(np.argmax(sums[o]))
-                table.append({
-                    "level": k, "direction": f"{alpha}-{orient}",
-                    "alpha": alpha,
-                    "base": tuple(int(v) for v in bases[i]),
-                    "value": float(sums[o, i]),
-                })
+    table = []
+    for r, (alpha, _) in enumerate(regions):
+        for o, orient in enumerate(_ORIENTS):
+            i = int(np.argmax(sums[r, o]))
+            table.append({
+                "level": r // len(masks) + 1, "direction": f"{alpha}-{orient}",
+                "alpha": alpha,
+                "base": tuple(int(v) for v in bases[i]),
+                "value": float(sums[r, o, i]),
+            })
 
     report = ConditionReport(
         kind="dd",
@@ -533,7 +519,12 @@ def _adaptive_simpson(f, intervals, tol: float,
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     mid = 0.5 * (lo + hi)
     root = np.arange(len(lo))  # initial panel: interval * n + position
-    flo, fmid, fhi = np.split(f(np.concatenate([lo, mid, hi]), np.tile(root // n, 3)), 3)
+    # an edge shared by two initial panels is evaluated once
+    fe, fmid = np.split(f(np.concatenate([edges.ravel(), mid]),
+                          np.concatenate([np.repeat(np.arange(len(bounds)), n + 1), root // n])),
+                        [edges.size])
+    fe = fe.reshape(len(bounds), n + 1, -1)
+    flo, fhi = fe[:, :-1].reshape(len(lo), -1), fe[:, 1:].reshape(len(lo), -1)
     ptol = np.full(len(lo), tol / n)
     level = np.zeros(len(lo), dtype=np.int64)  # halvings below the root
     path = np.zeros(len(lo), dtype=np.int64)  # left (0) / right (1) turns

@@ -27,7 +27,6 @@ __all__ = [
     "ParseError",
     "catalog",
     "catalog_names",
-    "restrict_window",
     "load_symbol",
 ]
 
@@ -389,18 +388,6 @@ def catalog(name, **params):
 
 # ---------------------------------------------------------------------------
 # windows and file loading
-
-
-def restrict_window(m, rows: Box, cols: Box, cap=DEFAULT_WINDOW_CAP):
-    """Materialize any discrete symbol as a dense one on the given windows."""
-    if rows.d != m.d or cols.d != m.d:
-        raise SymbolError("window dimension does not match the symbol")
-    if rows.npoints * cols.npoints > cap:
-        raise WindowCapError(
-            f"requested window has {rows.npoints * cols.npoints} entries, cap is {cap}"
-        )
-    entries = m.values_on(rows, cols)
-    return DiscreteSymbol.dense(rows, cols, entries, name=f"{m.name}|window")
 
 
 def _ascomplex(v):

@@ -23,11 +23,9 @@ from .schatten import (
 )
 
 __all__ = [
-    "DiagonalOp",
     "MatTrigPoly",
     "pi_embed",
     "is_pi_image",
-    "diag_symbols",
     "apply_fourier_multiplier",
     "freq_project",
     "cutoff_profile",
@@ -40,53 +38,6 @@ __all__ = [
     "lp_experiment",
     "max_coeff_diff",
 ]
-
-
-class DiagonalOp:
-    """Diagonal operator on a window: entry c_s at position (s, s)."""
-
-    __slots__ = ("window", "entries")
-
-    def __init__(self, window: Box, entries):
-        entries = np.asarray(entries, dtype=np.complex128)
-        if entries.shape != (window.npoints,):
-            raise ValueError("diagonal length does not match the window")
-        self.window = window
-        self.entries = entries
-
-    def lmul(self, A: LabeledMatrix) -> LabeledMatrix:
-        """Row scaling: self @ A."""
-        if A.rows != self.window:
-            raise ValueError("row window mismatch in diagonal product")
-        return LabeledMatrix(A.rows, A.cols, self.entries[:, None] * A.data)
-
-    def rmul(self, A: LabeledMatrix) -> LabeledMatrix:
-        """Column scaling: A @ self."""
-        if A.cols != self.window:
-            raise ValueError("column window mismatch in diagonal product")
-        return LabeledMatrix(A.rows, A.cols, A.data * self.entries[None, :])
-
-    def __add__(self, other):
-        if not isinstance(other, DiagonalOp) or other.window != self.window:
-            return NotImplemented
-        return DiagonalOp(self.window, self.entries + other.entries)
-
-    def __sub__(self, other):
-        if not isinstance(other, DiagonalOp) or other.window != self.window:
-            return NotImplemented
-        return DiagonalOp(self.window, self.entries - other.entries)
-
-    def __neg__(self):
-        return DiagonalOp(self.window, -self.entries)
-
-    def abs(self) -> "DiagonalOp":
-        return DiagonalOp(self.window, np.abs(self.entries).astype(np.complex128))
-
-    def to_matrix(self) -> LabeledMatrix:
-        return LabeledMatrix(self.window, self.window, np.diag(self.entries))
-
-    def __repr__(self):
-        return f"DiagonalOp(window={self.window}, n={self.window.npoints})"
 
 
 def _askey(n, d):
@@ -170,13 +121,6 @@ class MatTrigPoly:
                                          renumber[self._fi[on]], self._row[on],
                                          self._col[on], self._val[on])
 
-    def _freq_range(self, lo: int, hi: int) -> "MatTrigPoly":
-        """Support positions lo..hi-1 with their entries (a contiguous run)."""
-        a, b = np.searchsorted(self._fi, [lo, hi])
-        return MatTrigPoly._from_entries(self.d, self.rows, self.cols, self._sup[lo:hi],
-                                         self._fi[a:b] - lo, self._row[a:b],
-                                         self._col[a:b], self._val[a:b])
-
     @classmethod
     def zero(cls, d: int, rows: Box, cols: Box) -> "MatTrigPoly":
         return cls(d, {}, rows=rows, cols=cols)
@@ -207,11 +151,6 @@ class MatTrigPoly:
     def items(self):
         return ((n, self._dense(i)) for i, n in enumerate(self.support))
 
-    def drop_zeros(self, tol: float = 0.0) -> "MatTrigPoly":
-        top = np.zeros(len(self._sup))
-        np.maximum.at(top, self._fi, np.abs(self._val))
-        return self._keep(top > tol)
-
     def _check_shape(self, other):
         if other.d != self.d or other.rows != self.rows or other.cols != self.cols:
             raise ValueError("polynomial shape mismatch")
@@ -230,39 +169,6 @@ class MatTrigPoly:
 
     def __rmul__(self, scalar):
         return self._with_values(self._val * complex(scalar))
-
-    def __matmul__(self, other):
-        """Polynomial product: coefficient convolution with matrix products."""
-        if not isinstance(other, MatTrigPoly):
-            return NotImplemented
-        if other.d != self.d or self.cols != other.rows:
-            raise ValueError("inner windows do not match for a product")
-        out: dict = {}
-        for n1, A in self.items():
-            for n2, B in other.items():
-                key = tuple(a + b for a, b in zip(n1, n2))
-                prod = A @ B
-                out[key] = out[key] + prod if key in out else prod
-        return MatTrigPoly(self.d, out, rows=self.rows, cols=other.cols)
-
-    def adjoint(self) -> "MatTrigPoly":
-        # negating the support reverses its lexicographic order
-        F = len(self._sup)
-        fi = F - 1 - self._fi
-        order = np.lexsort((self._row, self._col, fi))
-        return MatTrigPoly._from_entries(self.d, self.cols, self.rows, -self._sup[::-1],
-                                         fi[order], self._col[order], self._row[order],
-                                         self._val[order].conj())
-
-    def eval(self, z) -> LabeledMatrix:
-        """Value at z, a length-d sequence of unit-modulus complex numbers."""
-        z = np.asarray(z, dtype=np.complex128).reshape(self.d)
-        phase = np.prod(z ** self._sup, axis=1)
-        acc = np.zeros(self.rows.npoints * self.cols.npoints, dtype=np.complex128)
-        np.add.at(acc, self._row * self.cols.npoints + self._col,
-                  self._val * phase[self._fi])
-        return LabeledMatrix(self.rows, self.cols,
-                             acc.reshape(self.rows.npoints, self.cols.npoints))
 
     def grid_chunks(self, grid: QuadratureGrid, values_per_chunk: int):
         """Values on consecutive runs of grid points: (chunk, R, C) arrays of
@@ -378,18 +284,6 @@ def _diagonals(m, freqs, window: Box, side: str) -> np.ndarray:
     off = np.repeat(freqs, len(pts), axis=0)
     s_pts, t_pts = (base, base - off) if side == "left" else (base + off, base)
     return m.eval_pairs(s_pts, t_pts).reshape(len(freqs), len(pts))
-
-
-def diag_symbols(m, n, window: Box):
-    """Per-frequency diagonal multipliers on a window.
-
-    Returns the pair (row form, column form): the row form carries m(s, s-n)
-    at position s and scales rows; the column form carries m(s+n, s) and
-    scales columns.
-    """
-    n = aspoint(n, window.d)
-    return (DiagonalOp(window, _diagonals(m, n, window, "left")[0]),
-            DiagonalOp(window, _diagonals(m, n, window, "right")[0]))
 
 
 def _entry_multipliers(m, f: MatTrigPoly, side: str) -> np.ndarray:
@@ -551,11 +445,6 @@ def smooth_cutoff(f: MatTrigPoly, j: int, d: int | None = None) -> MatTrigPoly:
 # block-telescoping decompositions
 
 
-def _half_blocks_1d(j: int):
-    a, b = 1 << (j - 1), 1 << j
-    return Box.interval(-b + 1, -a + 1), Box.interval(a, b)
-
-
 def _scaled(diag, g: MatTrigPoly, side: str) -> MatTrigPoly:
     """g with each entry scaled by the diagonal at its row (side 'left') or
     its column (side 'right')."""
@@ -566,15 +455,12 @@ def _scaled(diag, g: MatTrigPoly, side: str) -> MatTrigPoly:
 class SbpTerms:
     """One-dimensional block decomposition of the multiplied projection.
 
-    Per half block: one anchored term plus telescoping difference terms whose
-    projections open toward the outer block edge. ``total`` must reproduce
+    ``total`` is the sum of the decomposition's terms and must reproduce
     ``direct`` exactly; ``residual`` is their largest coefficient gap.
     """
 
     j: int
     side: str
-    boundary: dict
-    differences: dict
     total: MatTrigPoly
     direct: MatTrigPoly
     residual: float
@@ -586,7 +472,9 @@ def summation_by_parts_1d(m, f: MatTrigPoly, j: int, side: str = "left") -> SbpT
     Each half block contributes the anchor multiplier (taken at the point of
     the half block nearest zero) applied to the half-block projection, plus
     one difference term per interior cut: the multiplier increment across the
-    cut applied to the projection onto the points beyond it.
+    cut applied to the projection onto the points beyond it. The terms are
+    added into one running total as they are made, cut by cut from the
+    negative block edge inward and then from the positive anchor outward.
     """
     if f.d != 1:
         raise ValueError("one-dimensional decomposition needs d = 1")
@@ -595,35 +483,30 @@ def summation_by_parts_1d(m, f: MatTrigPoly, j: int, side: str = "left") -> SbpT
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     a, b = 1 << (j - 1), 1 << j
-    neg, pos = _half_blocks_1d(j)
     window = f.rows if side == "left" else f.cols
     block = [*range(-b + 1, -a + 1), *range(a, b)]
     diag = dict(zip(block, _diagonals(m, block, window, side)))
 
-    fneg, fpos = freq_project(f, neg), freq_project(f, pos)
-    boundary = {"negative": _scaled(diag[-a], fneg, side),
-                "positive": _scaled(diag[a], fpos, side)}
-    # the frequencies beyond a cut are a run at the outer end of the half block
-    kneg, kpos = fneg._sup[:, 0], fpos._sup[:, 0]
-    differences = {
-        "negative": [
-            (n, _scaled(diag[n - 1] - diag[n],
-                        fneg._freq_range(0, int(np.searchsorted(kneg, n))), side))
-            for n in range(-b + 2, -a + 1)
-        ],
-        "positive": [
-            (n, _scaled(diag[n + 1] - diag[n],
-                        fpos._freq_range(int(np.searchsorted(kpos, n, "right")), len(kpos)),
-                        side))
-            for n in range(a, b - 1)
-        ],
-    }
-    total = _sum_polys([boundary["negative"], boundary["positive"],
-                        *(t for terms in differences.values() for _, t in terms)])
-    direct = apply_fourier_multiplier(m, freq_project(f, DyadicIndex(j, 1)), side=side,
-                                      verify_two_sided=False)
+    fb = freq_project(f, DyadicIndex(j, 1))
+    freq = fb._sup[fb._fi, 0]  # ascending: the entries beyond a cut are a run
+    at = fb._row if side == "left" else fb._col
+    val = fb._val
+
+    def term(mult, lo, hi):
+        return _times(mult[at[lo:hi]], val[lo:hi], side)
+
+    neg = int(np.searchsorted(freq, 0))
+    acc = np.concatenate([term(diag[-a], 0, neg), term(diag[a], neg, len(val))])
+    for n in range(-b + 2, -a + 1):
+        hi = int(np.searchsorted(freq, n))
+        acc[:hi] += term(diag[n - 1] - diag[n], 0, hi)
+    for n in range(a, b - 1):
+        lo = int(np.searchsorted(freq, n, "right"))
+        acc[lo:] += term(diag[n + 1] - diag[n], lo, len(val))
+    total = fb._with_values(acc)
+    direct = apply_fourier_multiplier(m, fb, side=side, verify_two_sided=False)
     residual = max_coeff_diff(total, direct)
-    return SbpTerms(j, side, boundary, differences, total, direct, residual)
+    return SbpTerms(j, side, total, direct, residual)
 
 
 @dataclass

@@ -5,6 +5,7 @@ and frozen here; report functions must reproduce them exactly or to stated
 quadrature accuracy.
 """
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -25,6 +26,7 @@ from schurkit import (
     check_continuous,
     check_dd,
     discretize_continuous,
+    dyadic_block_points,
     load_symbol,
 )
 from schurkit import marcinkiewicz
@@ -77,6 +79,20 @@ class TestCheck1d:
         for r in rep.within_table:
             base_dir = r["direction"][:3]
             assert r["value"] <= two[(r["level"], base_dir)] + 1e-12
+
+    def test_within_sums_match_enumeration(self):
+        # per signed half block, the differences whose two points stay in it
+        m = catalog("smooth_homogeneous")
+        rep = check_1d(m, 5, Box.interval(3, 4))
+        got = {(r["level"], r["direction"]): r["value"] for r in rep.within_table}
+        j = 3
+        for N in range(1, 6):
+            a, b = 2 ** (N - 1), 2**N
+            for sign, ks in (("+", range(a, b - 1)), ("-", range(-b + 1, -a))):
+                row = sum(abs(m((k + j + 1,), (j,)) - m((k + j,), (j,))) for k in ks)
+                col = sum(abs(m((j,), (k + j + 1,)) - m((j,), (k + j,))) for k in ks)
+                assert got[(N, "row" + sign)] == pytest.approx(row, rel=1e-14, abs=0)
+                assert got[(N, "col" + sign)] == pytest.approx(col, rel=1e-14, abs=0)
 
     def test_level_one_within_rows_are_empty_sums(self):
         rep = check_1d(catalog("triangular"), 3, Box.interval(-2, 2))
@@ -151,8 +167,8 @@ class TestCheckDd:
             r1 = _rows_by(check_1d(m, 4, base), "level", "direction")
             rd = _rows_by(check_dd(m, 1, 4, base), "level", "direction")
             for N in range(1, 5):
-                assert rd[(N, "(1,)-right")] == pytest.approx(r1[(N, "row")], abs=1e-12)
-                assert rd[(N, "(1,)-left")] == pytest.approx(r1[(N, "col")], abs=1e-12)
+                assert rd[(N, "(1,)-right")] == r1[(N, "row")]
+                assert rd[(N, "(1,)-left")] == r1[(N, "col")]
 
     def test_d2_constant_zero(self):
         rep = check_dd(catalog("constant_one", d=2), 2, 3, Box.cube(-1, 1, 2))
@@ -221,11 +237,11 @@ class TestBaseWalk:
         counted = DiscreteSymbol.callback(
             lambda s, t: (sizes.append(len(s)), m.eval_pairs(s, t))[1], d=1)
         counted.name = m.name
-        # 129 pairs per base: runs of 8 bases, the 1-base remainder joins
-        # the last run
+        # 129 pairs per base: 16 runs of 8 bases and a 1-base remainder,
+        # each evaluated once per orientation
         monkeypatch.setattr(marcinkiewicz, "_CHUNK_PAIRS", 8 * 129)
         assert check_1d(counted, 6, base).to_json() == whole
-        assert sizes == [129 * 8] * 30 + [129 * 9] * 2
+        assert sizes == [129 * 8] * 32 + [129] * 2
 
     def test_chunked_bases_match_in_2d_and_dd(self, monkeypatch):
         m2 = DiscreteSymbol.callback(
@@ -246,6 +262,49 @@ class TestBaseWalk:
                          "phi": "cos(0.83*k1 + 1.21*k2) / (1 + k1*k1 + k2*k2)"})
         peak = _peak_bytes(lambda: check_2d(m, 5, Box.cube(-8, 8, 2)))
         assert peak < 8 * 2**20
+
+
+def _reference_sums(m, bases, regions):
+    # one base and one difference term at a time, terms added in beta order
+    out = np.empty((len(regions), 2, len(bases)))
+    for r, (alpha, T) in enumerate(regions):
+        betas = list(itertools.product(*[(0, 1) if bit else (0,) for bit in alpha]))
+        for o in range(2):
+            for i, s in enumerate(bases):
+                S = np.repeat(s[None, :], len(T), axis=0)
+                acc = np.zeros(len(T), dtype=complex)
+                for beta in betas:
+                    U = S + T + np.asarray(beta)
+                    vals = m.eval_pairs(S, U) if o == 0 else m.eval_pairs(U, S)
+                    acc = acc + (-1) ** (sum(alpha) - sum(beta)) * vals
+                out[r, o, i] = np.abs(acc).sum()
+    return out
+
+
+class TestVariationSums:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_one_base_at_a_time(self, d):
+        # every mask on each level's shell and on a line pinned at the
+        # block corner, in runs of two bases
+        m = DiscreteSymbol.callback(
+            lambda s, t: _phi(s - t) * np.cos(0.3 * s[:, 0] - 0.1 * t[:, -1]), d=d)
+        bases = Box.cube(-2, 1, d).points_array()
+        regions = []
+        for k in (1, 2):
+            for alpha in itertools.product((0, 1), repeat=d):
+                if any(alpha):
+                    line = np.full((2 ** (k + 1) - 1, d), 2 ** (k - 1))
+                    line[:, alpha.index(1)] = np.arange(-(2**k) + 1, 2**k)
+                    regions += [(alpha, dyadic_block_points(k, d)),
+                                (alpha, line)]
+        hull = Box.cube(-3, 5, d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(marcinkiewicz, "_CHUNK_PAIRS", 2 * hull.npoints)
+            got, c1 = marcinkiewicz._variation_sums(m, bases, hull, regions)
+        assert np.array_equal(got, _reference_sums(m, bases, regions))
+        S = np.repeat(bases, hull.npoints, axis=0)
+        T = S + np.tile(hull.points_array(), (len(bases), 1))
+        assert c1 == max(np.abs(m.eval_pairs(S, T)).max(), np.abs(m.eval_pairs(T, S)).max())
 
 
 class TestParallelogramCells:
@@ -451,6 +510,18 @@ class TestBatchedSimpson:
             for a, b in _SHELLS])
         assert got.shape == (30, 129)
         assert np.array_equal(got, want)
+
+    def test_shared_initial_edges_evaluated_once(self):
+        # 30 intervals of 8 initial panels: 9 edges and 8 midpoints each,
+        # where every panel's own lo, mid and hi would be 24
+        sizes = []
+
+        def f(t, which):
+            sizes.append(len(t))
+            return np.exp(-t * t)[:, None]
+
+        marcinkiewicz._adaptive_simpson(f, _SHELLS, 1e-9, 8)
+        assert sizes[0] == 30 * 17
 
     @pytest.mark.parametrize("batch", [1, 3, None])
     def test_nested_solves_match_recursion(self, monkeypatch, batch):

@@ -17,7 +17,6 @@ from schurkit import (
     catalog,
     catalog_names,
     load_symbol,
-    restrict_window,
 )
 
 
@@ -151,20 +150,6 @@ class TestCatalog:
         assert not M.has_analytic_partials
         got = M.partial(2, 0.3, 0.1)
         assert got == pytest.approx(-2 * math.cos(0.1), abs=1e-5)
-
-
-class TestRestrictWindow:
-    def test_materializes_dense(self):
-        m = catalog("triangular")
-        rows = cols = Box.interval(-2, 3)
-        dm = restrict_window(m, rows, cols)
-        assert dm.kind == "dense"
-        assert np.array_equal(dm.values_on(rows, cols), m.values_on(rows, cols))
-
-    def test_cap_enforced(self):
-        with pytest.raises(WindowCapError):
-            restrict_window(catalog("constant_one"),
-                            Box.interval(0, 100), Box.interval(0, 100), cap=99)
 
 
 class TestLoadSymbol:
