@@ -1,9 +1,12 @@
 """Entrywise multiplier application and windowed norm lower-bound search.
 
 The search maximizes the ratio ||entrywise product||_p / ||A||_p over
-matrices on a finite window: seeded random restarts, ascent along the
-singular-value differential of the p-norm, renormalization each step, and
-backtracking. Everything is deterministic from (seed, restart index).
+matrices on a finite window. The matrix unit at the largest |symbol| entry
+is scored without ascent, since it is a critical point of the ratio (and at
+p = 2 it attains the norm, so no other start runs). Seeded random restarts
+and warm starts ascend along the singular-value differential of the
+p-norm, with renormalization each step and backtracking. Everything is
+deterministic from (seed, restart index).
 """
 
 from __future__ import annotations
@@ -149,12 +152,17 @@ def _random_start(shape, seed, r):
 
 
 def _search(table, rows, cols, p, restarts, iterations, seed, extra_starts=()):
-    starts = [_unit_start(table)]
-    starts += [_random_start(table.shape, seed, r) for r in range(1, restarts)]
-    starts += [np.asarray(X, dtype=np.complex128) for X in extra_starts]
+    # The unit start is a critical point of the ratio: score it, never
+    # ascend it. At p = 2 it attains the norm, sup|m|, so it runs alone.
+    starts = [(_unit_start(table), 0)]
+    if p != 2.0:
+        starts += [(_random_start(table.shape, seed, r), iterations)
+                   for r in range(1, restarts)]
+        starts += [(np.asarray(X, dtype=np.complex128), iterations)
+                   for X in extra_starts]
     best_val, best_X, total = -math.inf, None, 0
-    for X0 in starts:
-        val, X, used = _ascend(table, rows, cols, X0, p, iterations)
+    for X0, steps in starts:
+        val, X, used = _ascend(table, rows, cols, X0, p, steps)
         total += used
         if val > best_val:
             best_val, best_X = val, X
@@ -165,10 +173,13 @@ def norm_lower_bound(m: DiscreteSymbol, window: Box, p, budget=None,
                      seed: int = 0, _extra_starts=()) -> EstimateResult:
     """Best found ratio ||entrywise product||_p / ||A||_p on a square window.
 
-    Start #0 is the matrix unit at the largest |symbol| entry (which already
-    attains the p=2 optimum); further starts are seeded complex Gaussians.
-    The reduction over restarts keeps the earliest maximizer, so results are
-    reproducible bit-for-bit for a fixed seed and budget.
+    Start #0 is the matrix unit at the largest |symbol| entry. It is a
+    critical point of the ratio, so it is scored without ascent steps, and
+    it already attains the p=2 optimum, so at p = 2 it is the only start.
+    Further starts are seeded complex Gaussians, ascended within the step
+    budget; ``iterations`` counts only their steps. The reduction over
+    restarts keeps the earliest maximizer, so results are reproducible
+    bit-for-bit for a fixed seed and budget.
     """
     pf = float(p)
     if not (1.0 < pf < math.inf):
@@ -185,8 +196,8 @@ def norm_lower_bound(m: DiscreteSymbol, window: Box, p, budget=None,
     val, X, used = _search(table, window, window, pf, restarts, iterations,
                            seed, extra_starts=_extra_starts)
     witness = LabeledMatrix(window, window, X)
-    value = (schatten_norm(apply_schur(m, witness), pf)
-             / schatten_norm(witness, pf))
+    value = (_norm_p(window, window, table * X, pf)
+             / _norm_p(window, window, X, pf))
     return EstimateResult(
         value=float(value), witness=witness, p=pf, window=window,
         restarts=restarts, iterations=used, seed=seed,

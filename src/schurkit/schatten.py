@@ -68,9 +68,6 @@ class LabeledMatrix:
     def entry(self, s, t):
         return self.data[self.rows.index(s), self.cols.index(t)]
 
-    def adjoint(self):
-        return LabeledMatrix(self.cols, self.rows, self.data.conj().T)
-
     def same_windows(self, other):
         return self.rows == other.rows and self.cols == other.cols
 

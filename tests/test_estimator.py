@@ -16,8 +16,9 @@ from schurkit import (
     norm_lower_bound,
     schatten_norm,
 )
-from schurkit import schatten
+from schurkit import estimator, schatten
 from schurkit.estimator import _norm_gradient
+from schurkit.schatten import _svd_schatten_norm
 
 
 class TestNormLowerBound:
@@ -125,6 +126,89 @@ class TestNormLowerBound:
             norm_lower_bound(m, win, 2.0, budget={"restarts": 0})
         with pytest.raises(ValueError):
             norm_lower_bound(m, win, 2.0, budget={"iterations": -1})
+
+
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _is_matrix_unit(X):
+    return np.count_nonzero(X) == 1 and np.abs(X).max() == 1.0
+
+
+class TestUnitStart:
+    def test_matrix_unit_is_a_critical_point(self):
+        # the central difference of the ratio at E along H vanishes: as h
+        # falls 4-fold it falls 16-fold for p >= 2, and 4^p-fold for p < 2,
+        # where the small singular values of E + hH add |h|^p terms; at a
+        # generic point it stays O(1)
+        rng = np.random.default_rng(41)
+        m = _random_complex(rng, (6, 6))
+        E = estimator._unit_start(m)
+
+        def slope(X, H, p):
+            def ratio(Y):
+                return _svd_schatten_norm(m * Y, p) / _svd_schatten_norm(Y, p)
+
+            def central(h):
+                return (ratio(X + h * H) - ratio(X - h * H)) / (2.0 * h)
+
+            return np.log(abs(central(2e-3) / central(5e-4))) / np.log(4.0)
+
+        for p in (4.0 / 3.0, 3.0, 4.0, 6.0):
+            for _ in range(3):
+                H = _random_complex(rng, (6, 6))
+                assert slope(E, H, p) >= min(p, 2.0) - 0.15, p
+            X = _random_complex(rng, (6, 6))
+            assert abs(slope(X, _random_complex(rng, (6, 6)), p)) < 0.1, p
+
+    @staticmethod
+    def _count_ascents(monkeypatch):
+        calls = []
+        ascend = estimator._ascend
+
+        def counted(table, rows, cols, X0, p, iterations):
+            out = ascend(table, rows, cols, X0, p, iterations)
+            calls.append((X0, iterations, out[2]))
+            return out
+
+        monkeypatch.setattr(estimator, "_ascend", counted)
+        return calls
+
+    def test_unit_start_is_scored_not_ascended(self, monkeypatch):
+        calls = self._count_ascents(monkeypatch)
+        m = catalog("lacunary_toeplitz", seed=3)
+        win = Box.interval(-8, 8)
+        res = norm_lower_bound(m, win, 4.0,
+                               budget={"restarts": 1, "iterations": 30})
+        ((X0, iterations, used),) = calls
+        assert _is_matrix_unit(X0) and iterations == 0 and used == 0
+        assert res.iterations == 0
+        assert _is_matrix_unit(res.witness.data)
+        sup = np.abs(m.values_on(win, win)).max()
+        assert res.value == pytest.approx(sup, rel=1e-15, abs=0)
+
+    def test_p2_runs_the_unit_start_alone(self, monkeypatch):
+        # restarts and warm starts are dropped at p = 2: the amplified search
+        # carries the embedded k = 1 witness, the growth search the previous
+        # window's witness, and neither is run
+        calls = self._count_ascents(monkeypatch)
+        m = catalog("lacunary_toeplitz", seed=3)
+        win = Box.interval(-6, 6)
+        budget = {"restarts": 5, "iterations": 30}
+        amp = cb_lower_bound(m, win, 2.0, 2, budget=budget, seed=1)
+        rows = growth_experiment(m, [2.0], [3, 6], budget=budget, seed=1)
+        assert len(calls) == 2 + 2
+        assert all(_is_matrix_unit(X0) and iterations == used == 0
+                   for X0, iterations, used in calls)
+        assert amp.iterations == 0 and _is_matrix_unit(amp.witness.data)
+        sup = np.abs(m.values_on(win, win)).max()
+        assert amp.value == pytest.approx(sup, rel=1e-15, abs=0)
+        for r, n in zip(rows, (3, 6)):
+            box = Box.interval(-n, n)
+            assert r["iterations_used"] == 0
+            assert r["estimate"] == pytest.approx(
+                np.abs(m.values_on(box, box)).max(), rel=1e-15, abs=0)
 
 
 class TestNormGradient:

@@ -44,13 +44,6 @@ class TestLabeledMatrix:
         assert e.entry((0,), (1,)) == 1
         assert e.data.sum() == 1
 
-    def test_adjoint_swaps_windows(self):
-        r, c = Box.interval(0, 2), Box.interval(0, 3)
-        A = LabeledMatrix(r, c, np.arange(6).reshape(2, 3) * (1 + 1j))
-        B = A.adjoint()
-        assert B.rows == c and B.cols == r
-        assert np.array_equal(B.data, A.data.conj().T)
-
     def test_window_mismatch_rejected(self):
         A = LabeledMatrix.zeros(Box.interval(0, 2))
         B = LabeledMatrix.zeros(Box.interval(1, 3))
