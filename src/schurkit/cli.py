@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from ._expr import ParseError
-from .estimator import cb_lower_bound, growth_experiment, norm_lower_bound, apply_schur
+from .estimator import _estimate_row, apply_schur, cb_lower_bound, growth_experiment
 from .lattice import Box, fundamental_theorem_expand
 from .marcinkiewicz import (
     QuadratureError,
@@ -354,18 +354,11 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-_ESTIMATE_COLUMNS = ["symbol", "d", "p", "N", "k_amp", "estimate", "reference",
-                     "ratio", "restarts", "iterations_budget", "iterations_used",
-                     "seed"]
-
-
 def _estimate_csv(rows):
     reals = {"estimate", "reference", "ratio"}
-    out = [list(_ESTIMATE_COLUMNS)]
-    for r in rows:
-        out.append([repr(float(r[c])) if c in reals else r[c]
-                    for c in _ESTIMATE_COLUMNS])
-    return out
+    columns = list(rows[0])
+    return [columns] + [[repr(float(r[c])) if c in reals else r[c] for c in columns]
+                        for r in rows]
 
 
 def cmd_estimate(args) -> int:
@@ -380,22 +373,8 @@ def cmd_estimate(args) -> int:
     rows = []
     for tok, p in p_list:
         for N in n_list:
-            window = Box.cube(-N, N, sym.d)
-            res = (cb_lower_bound(sym, window, p, amp, budget=budget, seed=seed)
-                   if amp > 1 else
-                   norm_lower_bound(sym, window, p, budget=budget, seed=seed))
-            pf = float(p)
-            reference = (pf * pf / (pf - 1.0)) ** (sym.d + 2)
-            rows.append({
-                "symbol": getattr(sym, "name", None) or label, "d": sym.d,
-                "p": tok, "N": N, "k_amp": amp,
-                "estimate": res.value, "reference": reference,
-                "ratio": res.value / reference,
-                "restarts": res.restarts,
-                "iterations_budget": budget["iterations"],
-                "iterations_used": res.iterations,
-                "seed": seed,
-            })
+            res = cb_lower_bound(sym, Box.cube(-N, N, sym.d), p, amp, budget=budget, seed=seed)
+            rows.append(_estimate_row(sym, label, tok, N, res, budget["iterations"]))
     config = _run_config(args, "estimate", label)
     _emit(args, config, {"rows": rows}, _estimate_csv(rows))
     if args.threshold is not None and any(r["estimate"] > args.threshold for r in rows):

@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import Box
-from .schatten import (
-    LabeledMatrix,
-    _even_half,
-    _svd_schatten_norm,
-    schatten_norm,
-)
+from .schatten import LabeledMatrix, _even_half, _svd_schatten_norm, schatten_norm
 from .symbols import DiscreteSymbol
 
 __all__ = [
@@ -52,16 +47,20 @@ class EstimateResult:
     def verify(self, m: DiscreteSymbol, tol: float = 1e-12) -> float:
         """Recompute the witness ratio; raises if it drifts from ``value``.
 
-        The ratio comes from singular values at every p, so the check does
-        not rest on the matrix-product kernel the search uses for even p.
+        The table is rebuilt as the search built it, amplified when
+        ``flags["k_amp"]`` is set (the block slot is the window's last
+        axis). The ratio comes from singular values at every p, so the check
+        does not rest on the matrix-product kernel the search uses for even p.
         """
         if self.flags.get("zero_symbol"):
             if self.value != 0.0:
                 raise AssertionError("zero symbol must report value 0")
             return 0.0
-        num = _svd_schatten_norm(apply_schur(m, self.witness), self.p)
-        den = _svd_schatten_norm(self.witness, self.p)
-        ratio = num / den
+        k = self.flags.get("k_amp", 1)
+        window = self.window if k == 1 else Box(self.window.los[:-1], self.window.his[:-1])
+        X = self.witness.data
+        ratio = (_svd_schatten_norm(_table(m, window, k) * X, self.p)
+                 / _svd_schatten_norm(X, self.p))
         scale = max(abs(self.value), 1.0)
         if abs(ratio - self.value) > tol * scale:
             raise AssertionError(
@@ -86,8 +85,10 @@ def _budget(budget) -> tuple[int, int]:
     return restarts, iterations
 
 
-def _norm_p(rows: Box, cols: Box, data: np.ndarray, p: float) -> float:
-    return schatten_norm(LabeledMatrix(rows, cols, data), p)
+def _table(m: DiscreteSymbol, window: Box, k: int) -> np.ndarray:
+    """The symbol on window x window, held constant on k x k blocks."""
+    table = m.values_on(window, window)
+    return table if k == 1 else np.kron(table, np.ones((k, k)))
 
 
 def _norm_gradient(Y, p):
@@ -107,13 +108,13 @@ def _norm_gradient(Y, p):
     return out
 
 
-def _ascend(table, rows, cols, X0, p, iterations):
+def _ascend(table, X0, p, iterations):
     """Monotone projective ascent from one start; returns (value, X, steps)."""
-    nrm = _norm_p(rows, cols, X0, p)
+    nrm = schatten_norm(X0, p)
     if nrm == 0.0:
         return 0.0, X0, 0
     X = X0 / nrm
-    val = _norm_p(rows, cols, table * X, p)
+    val = schatten_norm(table * X, p)
     used = 0
     for _ in range(iterations):
         grad = np.conj(table) * _norm_gradient(table * X, p)
@@ -121,10 +122,10 @@ def _ascend(table, rows, cols, X0, p, iterations):
         cand_val, cand_X = None, None
         while step > 1e-13:
             Xc = X + step * grad
-            nc = _norm_p(rows, cols, Xc, p)
+            nc = schatten_norm(Xc, p)
             if nc > 0.0:
                 Xc = Xc / nc
-                vc = _norm_p(rows, cols, table * Xc, p)
+                vc = schatten_norm(table * Xc, p)
                 if vc > val:
                     cand_val, cand_X = vc, Xc
                     break
@@ -151,7 +152,8 @@ def _random_start(shape, seed, r):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
-def _search(table, rows, cols, p, restarts, iterations, seed, extra_starts=()):
+def _search(table, p, restarts, iterations, seed, extra_starts):
+    """The best witness over all starts and the ascent steps they took."""
     # The unit start is a critical point of the ratio: score it, never
     # ascend it. At p = 2 it attains the norm, sup|m|, so it runs alone.
     starts = [(_unit_start(table), 0)]
@@ -162,11 +164,33 @@ def _search(table, rows, cols, p, restarts, iterations, seed, extra_starts=()):
                    for X in extra_starts]
     best_val, best_X, total = -math.inf, None, 0
     for X0, steps in starts:
-        val, X, used = _ascend(table, rows, cols, X0, p, steps)
+        val, X, used = _ascend(table, X0, p, steps)
         total += used
         if val > best_val:
             best_val, best_X = val, X
-    return best_val, best_X, total
+    return best_X, total
+
+
+def _certify(table, window, p, restarts, iterations, seed, extra_starts,
+             flags) -> EstimateResult:
+    """Search the table on window x window and certify the best witness.
+
+    A table with no nonzero entry gives the value 0, flagged ``zero_symbol``;
+    otherwise the value is recomputed from the witness the search kept.
+    """
+    if not np.abs(table).any():
+        return EstimateResult(
+            value=0.0, witness=LabeledMatrix.zeros(window, window), p=p,
+            window=window, restarts=restarts, iterations=0, seed=seed,
+            flags={"zero_symbol": True, **flags},
+        )
+    X, used = _search(table, p, restarts, iterations, seed, extra_starts)
+    value = schatten_norm(table * X, p) / schatten_norm(X, p)
+    return EstimateResult(
+        value=float(value), witness=LabeledMatrix(window, window, X), p=p,
+        window=window, restarts=restarts, iterations=used, seed=seed,
+        flags=flags,
+    )
 
 
 def norm_lower_bound(m: DiscreteSymbol, window: Box, p, budget=None,
@@ -185,23 +209,8 @@ def norm_lower_bound(m: DiscreteSymbol, window: Box, p, budget=None,
     if not (1.0 < pf < math.inf):
         raise ValueError("p must lie in the open interval (1, inf)")
     restarts, iterations = _budget(budget)
-    table = m.values_on(window, window)
-    if not np.abs(table).any():
-        return EstimateResult(
-            value=0.0,
-            witness=LabeledMatrix.zeros(window, window),
-            p=pf, window=window, restarts=restarts, iterations=0,
-            seed=seed, flags={"zero_symbol": True},
-        )
-    val, X, used = _search(table, window, window, pf, restarts, iterations,
-                           seed, extra_starts=_extra_starts)
-    witness = LabeledMatrix(window, window, X)
-    value = (_norm_p(window, window, table * X, pf)
-             / _norm_p(window, window, X, pf))
-    return EstimateResult(
-        value=float(value), witness=witness, p=pf, window=window,
-        restarts=restarts, iterations=used, seed=seed,
-    )
+    return _certify(_table(m, window, 1), window, pf, restarts, iterations,
+                    seed, _extra_starts, {})
 
 
 def cb_lower_bound(m: DiscreteSymbol, window: Box, p, k: int, budget=None,
@@ -215,37 +224,32 @@ def cb_lower_bound(m: DiscreteSymbol, window: Box, p, k: int, budget=None,
     if int(k) < 1:
         raise ValueError("amplification k must be >= 1")
     k = int(k)
+    base = norm_lower_bound(m, window, p, budget=budget, seed=seed)
     if k == 1:
-        return norm_lower_bound(m, window, p, budget=budget, seed=seed)
-    pf = float(p)
-    if not (1.0 < pf < math.inf):
-        raise ValueError("p must lie in the open interval (1, inf)")
-    restarts, iterations = _budget(budget)
-    base = m.values_on(window, window)
-    table = np.kron(base, np.ones((k, k)))
-    amp_window = window.product(Box.interval(0, k))
-    if not np.abs(table).any():
-        return EstimateResult(
-            value=0.0,
-            witness=LabeledMatrix.zeros(amp_window, amp_window),
-            p=pf, window=amp_window, restarts=restarts, iterations=0,
-            seed=seed, flags={"zero_symbol": True, "k_amp": k},
-        )
+        return base
     # The unamplified witness, placed in one block slot, achieves exactly the
     # unamplified ratio, so the amplified estimate never falls below it.
-    base_res = norm_lower_bound(m, window, p, budget=budget, seed=seed)
     slot = np.zeros((k, k))
     slot[0, 0] = 1.0
-    embedded = np.kron(base_res.witness.data, slot)
-    val, X, used = _search(table, amp_window, amp_window, pf, restarts,
-                           iterations, seed, extra_starts=(embedded,))
-    witness = LabeledMatrix(amp_window, amp_window, X)
-    value = (_norm_p(amp_window, amp_window, table * X, pf)
-             / _norm_p(amp_window, amp_window, X, pf))
-    return EstimateResult(
-        value=float(value), witness=witness, p=pf, window=amp_window,
-        restarts=restarts, iterations=used, seed=seed, flags={"k_amp": k},
-    )
+    restarts, iterations = _budget(budget)
+    return _certify(_table(m, window, k), window.product(Box.interval(0, k)),
+                    base.p, restarts, iterations, seed,
+                    (np.kron(base.witness.data, slot),), {"k_amp": k})
+
+
+def _estimate_row(m: DiscreteSymbol, label: str, p, N: int, res: EstimateResult,
+                  iterations_budget: int) -> dict:
+    """One row of the estimate and growth tables for the window [-N, N)^d.
+
+    ``p`` is stored as given; ``reference`` is (p^2/(p-1))^(d+2) at res.p.
+    The symbol's name falls back to ``label``.
+    """
+    reference = (res.p * res.p / (res.p - 1.0)) ** (m.d + 2)
+    return {"symbol": getattr(m, "name", None) or label, "d": m.d, "p": p, "N": N,
+            "k_amp": res.flags.get("k_amp", 1), "estimate": res.value,
+            "reference": reference, "ratio": res.value / reference,
+            "restarts": res.restarts, "iterations_budget": iterations_budget,
+            "iterations_used": res.iterations, "seed": res.seed}
 
 
 def growth_experiment(m: DiscreteSymbol, p_list, N_list, budget=None,
@@ -261,10 +265,8 @@ def growth_experiment(m: DiscreteSymbol, p_list, N_list, budget=None,
     """
     d = m.d
     rows = []
-    restarts, iterations = _budget(budget)
+    _, iterations = _budget(budget)
     for p in p_list:
-        pf = float(p)
-        reference = (pf * pf / (pf - 1.0)) ** (d + 2)
         prev = None  # (window, data)
         for N in sorted(int(N) for N in N_list):
             window = Box.cube(-N, N, d)
@@ -280,18 +282,5 @@ def growth_experiment(m: DiscreteSymbol, p_list, N_list, budget=None,
             res = norm_lower_bound(m, window, p, budget=budget, seed=seed,
                                    _extra_starts=extra)
             prev = (window, res.witness.data)
-            rows.append({
-                "symbol": getattr(m, "name", None) or "symbol",
-                "d": d,
-                "p": p,
-                "N": N,
-                "k_amp": 1,
-                "estimate": res.value,
-                "reference": reference,
-                "ratio": res.value / reference,
-                "restarts": restarts,
-                "iterations_budget": iterations,
-                "iterations_used": res.iterations,
-                "seed": seed,
-            })
+            rows.append(_estimate_row(m, "symbol", p, N, res, iterations))
     return rows

@@ -603,6 +603,9 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
     slice of the shell 2^j < |t|_inf <= 2^(j+1), the other coordinate pinned
     to the shell's outer edge; both argument orders. The supremum over bases
     is a max over the reported sample grid, not a proven supremum.
+    ``quad_order`` is the number of initial Simpson panels per shell half
+    (per integration interval at d = 2), passed to ``_adaptive_simpson`` as
+    ``initial_panels``; the panels are then refined adaptively to ``tol``.
     """
     levels = _normalize_levels(j_range)
     if M.d == 1:

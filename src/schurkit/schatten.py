@@ -264,21 +264,12 @@ class QuadratureGrid:
         return cls(f.d, factor * max(1, f.max_freq()) + 1)
 
 
-def _grid_chunks(f, grid, values_per_chunk):
-    """Values of a matrix trig polynomial on consecutive runs of grid points.
-
-    Yields (chunk, R, C) arrays of about ``values_per_chunk`` values each;
-    the polynomial evaluates itself (``MatTrigPoly.grid_chunks``).
-    """
-    return f.grid_chunks(grid, values_per_chunk)
-
-
 def _eval_on_grid(f, grid):
     """Evaluate a matrix trig polynomial on all grid points: (G, R, C)."""
     out = np.empty((grid.size, f.rows.npoints, f.cols.npoints), dtype=np.complex128)
     start = 0
     # each chunk's work set stays around 64 MB
-    for vals in _grid_chunks(f, grid, 4 << 20):
+    for vals in f.grid_chunks(grid, 4 << 20):
         out[start : start + len(vals)] = vals
         start += len(vals)
     return out
@@ -300,13 +291,10 @@ def lp_sp_norm(f, p, grid=None):
     k = _even_half(p)
     if k is not None:
         total = sum(float(np.sum(_even_power_sum(vals, k)))
-                    for vals in _grid_chunks(f, grid, 1 << 20))
+                    for vals in f.grid_chunks(grid, 1 << 20))
         return float((total / grid.size) ** (1.0 / p))
     vals = _eval_on_grid(f, grid)
-    sv = np.linalg.svd(vals, compute_uv=False)
-    top = sv.max(initial=0.0)
-    if top > 0:
-        sv = np.where(sv < SV_CLIP * top, 0.0, sv)
+    sv = _clip_singulars(np.linalg.svd(vals, compute_uv=False))
     if math.isinf(p):
         return float(sv.max(initial=0.0))
     return float(np.mean(np.sum(sv**p, axis=1)) ** (1.0 / p))

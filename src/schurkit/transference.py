@@ -445,12 +445,6 @@ def smooth_cutoff(f: MatTrigPoly, j: int, d: int | None = None) -> MatTrigPoly:
 # block-telescoping decompositions
 
 
-def _scaled(diag, g: MatTrigPoly, side: str) -> MatTrigPoly:
-    """g with each entry scaled by the diagonal at its row (side 'left') or
-    its column (side 'right')."""
-    return g._with_values(_times(diag[g._row if side == "left" else g._col], g._val, side))
-
-
 @dataclass
 class SbpTerms:
     """One-dimensional block decomposition of the multiplied projection.
@@ -511,14 +505,14 @@ def summation_by_parts_1d(m, f: MatTrigPoly, j: int, side: str = "left") -> SbpT
 
 @dataclass
 class Sbp2dParts:
-    """Four-part decomposition over the first rectangle of a 2-d block."""
+    """Four-part decomposition over the first rectangle of a 2-d block.
+
+    ``total`` is the sum of the four parts and must reproduce ``direct``
+    exactly; ``residual`` is their largest coefficient gap.
+    """
 
     j: int
     anchor: tuple
-    p1: MatTrigPoly
-    p2: MatTrigPoly
-    p3: MatTrigPoly
-    p4: MatTrigPoly
     total: MatTrigPoly
     direct: MatTrigPoly
     residual: float
@@ -532,9 +526,12 @@ def summation_by_parts_2d(m, f: MatTrigPoly, j: int) -> Sbp2dParts:
     upper dyadic interval (second axis). The anchor sits at its corner
     nearest the origin; single-difference sums run along each anchored edge
     and the mixed-difference sum runs over the whole rectangle, each paired
-    with the projection onto the points beyond the cut. ``residual`` is the
-    largest coefficient gap between the reassembled parts and the direct
-    computation; the caller judges it.
+    with the projection onto the points beyond the cut. The four parts are
+    running sums over the rectangle's entries (anchor term, first-axis cuts,
+    second-axis cuts, mixed cuts): each cut adds its term to the entries
+    beyond it, and the total adds the four sums in that order.
+    ``residual`` is the largest coefficient gap between the total and the
+    direct computation; the caller judges it.
     """
     if f.d != 2:
         raise ValueError("this decomposition needs d = 2")
@@ -552,25 +549,27 @@ def summation_by_parts_2d(m, f: MatTrigPoly, j: int) -> Sbp2dParts:
         return diag[n1 + a - 1, n2 - a]
 
     frect = freq_project(f, rect)
+    # lexicographic entry order: the entries beyond a first-axis cut are a run
+    n1s, n2s = frect._sup[frect._fi].T
+    row, val = frect._row, frect._val
 
-    def part(terms):
-        return _sum_polys([MatTrigPoly.zero(2, f.rows, f.cols),
-                           *(_scaled(cut, freq_project(frect, region), "left")
-                             for cut, region in terms)])
+    def add(acc, cut, beyond):
+        acc[beyond] += cut[row[beyond]] * val[beyond]
 
-    p1 = _scaled(dop(*anchor), frect, "left")
-    p2 = part((dop(n1 + 1, a) - dop(n1, a), Box.interval(n1 + 1, b).product(upper))
-              for n1 in range(-a + 1, b - 1))
-    p3 = part((dop(-a + 1, n2 + 1) - dop(-a + 1, n2), strip.product(Box.interval(n2 + 1, b)))
-              for n2 in range(a, b - 1))
-    p4 = part((dop(n1 + 1, n2 + 1) - dop(n1 + 1, n2) - dop(n1, n2 + 1) + dop(n1, n2),
-               Box.interval(n1 + 1, b).product(Box.interval(n2 + 1, b)))
-              for n1 in range(-a + 1, b - 1) for n2 in range(a, b - 1))
+    first, second, mixed = (np.zeros_like(val) for _ in range(3))
+    for n1 in range(-a + 1, b - 1):
+        lo = int(np.searchsorted(n1s, n1, "right"))
+        add(first, dop(n1 + 1, a) - dop(n1, a), slice(lo, None))
+        for n2 in range(a, b - 1):
+            add(mixed, dop(n1 + 1, n2 + 1) - dop(n1 + 1, n2) - dop(n1, n2 + 1) + dop(n1, n2),
+                lo + np.flatnonzero(n2s[lo:] > n2))
+    for n2 in range(a, b - 1):
+        add(second, dop(-a + 1, n2 + 1) - dop(-a + 1, n2), n2s > n2)
 
-    total = _sum_polys([p1, p2, p3, p4])
+    total = frect._with_values(dop(*anchor)[row] * val + first + second + mixed)
     direct = apply_fourier_multiplier(m, frect, verify_two_sided=False)
     residual = max_coeff_diff(total, direct)
-    return Sbp2dParts(j, anchor, p1, p2, p3, p4, total, direct, residual)
+    return Sbp2dParts(j, anchor, total, direct, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,14 @@ class TestEstimate:
         assert row["iterations_budget"] == 6
         assert 0 < row["iterations_used"] <= 2 * 6
 
+    def test_negative_amplification_rejected(self, capsys):
+        # every estimate goes through cb_lower_bound, which rejects k < 1
+        # instead of reporting an unamplified row labelled k_amp = -1
+        rc = main(["estimate", "--catalog", "triangular", "--p", "4",
+                   "--n", "2", "--amp", "-1"])
+        assert rc == 2
+        assert "amplification" in capsys.readouterr().err
+
     def test_continuous_symbol_rejected(self, capsys):
         rc = main(["estimate", "--catalog", "continuous_arctan"])
         assert rc == 2

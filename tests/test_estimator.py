@@ -13,6 +13,7 @@ from schurkit import (
     catalog,
     cb_lower_bound,
     growth_experiment,
+    load_symbol,
     norm_lower_bound,
     schatten_norm,
 )
@@ -167,8 +168,8 @@ class TestUnitStart:
         calls = []
         ascend = estimator._ascend
 
-        def counted(table, rows, cols, X0, p, iterations):
-            out = ascend(table, rows, cols, X0, p, iterations)
+        def counted(table, X0, p, iterations):
+            out = ascend(table, X0, p, iterations)
             calls.append((X0, iterations, out[2]))
             return out
 
@@ -265,6 +266,23 @@ class TestAmplified:
         # p = 2 again gives sup|m|, unchanged by amplification
         assert res.value == pytest.approx(
             np.abs(m.values_on(win, win)).max(), rel=1e-10)
+
+    @pytest.mark.parametrize("m,window,p", [
+        (catalog("triangular"), Box.interval(-4, 4), 4.0),
+        (load_symbol({"kind": "toeplitz", "d": 2,
+                      "phi": "cos(0.83*k1 + 1.21*k2) / (1 + k1*k1 + k2*k2)"}),
+         Box.cube(-2, 2, 2), 3.0),
+    ], ids=["triangular", "toeplitz_d2"])
+    def test_verify_certifies_amplified_results(self, m, window, p):
+        # the witness lives on window x block slot; verify rebuilds the
+        # block-constant table from flags["k_amp"] and recomputes the ratio
+        res = cb_lower_bound(m, window, p, 2,
+                             budget={"restarts": 3, "iterations": 40}, seed=2)
+        assert res.flags["k_amp"] == 2 and res.iterations > 0
+        assert res.verify(m) == pytest.approx(res.value, rel=0, abs=1e-12)
+        res.value += 1e-6
+        with pytest.raises(AssertionError, match="drifted"):
+            res.verify(m)
 
     def test_zero_symbol_and_bad_k(self):
         win = Box.interval(0, 3)

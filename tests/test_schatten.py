@@ -21,7 +21,6 @@ from schurkit.schatten import (
     EVEN_P_MAX,
     _eval_on_grid,
     _even_power_sum,
-    _grid_chunks,
     _svd_schatten_norm,
     _trace_power,
 )
@@ -270,7 +269,7 @@ class TestEvenPKernel:
         w = Box.interval(0, 100)
         f = MatTrigPoly(1, {(n,): _random(w, w, rng) for n in (-3, 0, 2, 7)})
         grid = QuadratureGrid(1, 250)
-        sizes = [len(c) for c in _grid_chunks(f, grid, 1 << 20)]
+        sizes = [len(c) for c in f.grid_chunks(grid, 1 << 20)]
         assert sizes == [104, 104, 42]
         sv = np.linalg.svd(_eval_on_grid(f, grid), compute_uv=False)
         for p in (2, 4, 6, 8):
