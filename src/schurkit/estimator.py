@@ -59,7 +59,7 @@ class EstimateResult:
         k = self.flags.get("k_amp", 1)
         window = self.window if k == 1 else Box(self.window.los[:-1], self.window.his[:-1])
         X = self.witness.data
-        ratio = (_svd_schatten_norm(_table(m, window, k) * X, self.p)
+        ratio = (_svd_schatten_norm(_amplified(m.values_on(window, window), k) * X, self.p)
                  / _svd_schatten_norm(X, self.p))
         scale = max(abs(self.value), 1.0)
         if abs(ratio - self.value) > tol * scale:
@@ -85,9 +85,8 @@ def _budget(budget) -> tuple[int, int]:
     return restarts, iterations
 
 
-def _table(m: DiscreteSymbol, window: Box, k: int) -> np.ndarray:
-    """The symbol on window x window, held constant on k x k blocks."""
-    table = m.values_on(window, window)
+def _amplified(table: np.ndarray, k: int) -> np.ndarray:
+    """The table held constant on k x k blocks."""
     return table if k == 1 else np.kron(table, np.ones((k, k)))
 
 
@@ -194,7 +193,7 @@ def _certify(table, window, p, restarts, iterations, seed, extra_starts,
 
 
 def norm_lower_bound(m: DiscreteSymbol, window: Box, p, budget=None,
-                     seed: int = 0, _extra_starts=()) -> EstimateResult:
+                     seed: int = 0, _extra_starts=(), _table=None) -> EstimateResult:
     """Best found ratio ||entrywise product||_p / ||A||_p on a square window.
 
     Start #0 is the matrix unit at the largest |symbol| entry. It is a
@@ -203,14 +202,16 @@ def norm_lower_bound(m: DiscreteSymbol, window: Box, p, budget=None,
     Further starts are seeded complex Gaussians, ascended within the step
     budget; ``iterations`` counts only their steps. The reduction over
     restarts keeps the earliest maximizer, so results are reproducible
-    bit-for-bit for a fixed seed and budget.
+    bit-for-bit for a fixed seed and budget. ``_table`` is m on window x
+    window when the caller has already built it.
     """
     pf = float(p)
     if not (1.0 < pf < math.inf):
         raise ValueError("p must lie in the open interval (1, inf)")
     restarts, iterations = _budget(budget)
-    return _certify(_table(m, window, 1), window, pf, restarts, iterations,
-                    seed, _extra_starts, {})
+    if _table is None:
+        _table = m.values_on(window, window)
+    return _certify(_table, window, pf, restarts, iterations, seed, _extra_starts, {})
 
 
 def cb_lower_bound(m: DiscreteSymbol, window: Box, p, k: int, budget=None,
@@ -224,7 +225,8 @@ def cb_lower_bound(m: DiscreteSymbol, window: Box, p, k: int, budget=None,
     if int(k) < 1:
         raise ValueError("amplification k must be >= 1")
     k = int(k)
-    base = norm_lower_bound(m, window, p, budget=budget, seed=seed)
+    table = m.values_on(window, window)
+    base = norm_lower_bound(m, window, p, budget=budget, seed=seed, _table=table)
     if k == 1:
         return base
     # The unamplified witness, placed in one block slot, achieves exactly the
@@ -232,7 +234,7 @@ def cb_lower_bound(m: DiscreteSymbol, window: Box, p, k: int, budget=None,
     slot = np.zeros((k, k))
     slot[0, 0] = 1.0
     restarts, iterations = _budget(budget)
-    return _certify(_table(m, window, k), window.product(Box.interval(0, k)),
+    return _certify(_amplified(table, k), window.product(Box.interval(0, k)),
                     base.p, restarts, iterations, seed,
                     (np.kron(base.witness.data, slot),), {"k_amp": k})
 

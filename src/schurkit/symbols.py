@@ -149,6 +149,21 @@ class DiscreteSymbol:
             raise WindowCapError(
                 f"window of {rows.npoints}x{cols.npoints} entries exceeds the cap"
             )
+        if self.kind == "toeplitz" and rows.npoints and cols.npoints:
+            # phi once per difference r - c, R_i + C_i - 1 of them per axis.
+            # With a, b the offsets of r, c in their windows, r - c sits at
+            # a - b + (C - 1) in that box; its flat position is linear, so
+            # the table is one gather at pos(a) + pos(C - 1) - pos(b).
+            diffs = Box(tuple(r - c + 1 for r, c in zip(rows.los, cols.his)),
+                        tuple(r - c for r, c in zip(rows.his, cols.los)))
+            vals = _values(self.phi(diffs.points_array()), diffs.npoints)
+
+            def pos(offsets):
+                return np.ravel_multi_index(tuple(np.asarray(offsets).T), diffs.sizes)
+
+            top = pos(tuple(n - 1 for n in cols.sizes))
+            return vals[(pos(rows.points_array() - rows.los) + top)[:, None]
+                        - pos(cols.points_array() - cols.los)]
         rp = rows.points_array()
         cp = cols.points_array()
         ss = np.repeat(rp, len(cp), axis=0)
@@ -265,14 +280,15 @@ class ContinuousSymbol:
 
 
 def _constant_one(d=1):
-    return DiscreteSymbol.callback(
-        lambda s, t: np.ones(len(s), dtype=np.complex128), d=d, name="constant_one"
+    return DiscreteSymbol.toeplitz(
+        lambda k: np.ones(len(k), dtype=np.complex128), d=d, name="constant_one"
     )
 
 
 def _triangular():
-    return DiscreteSymbol.callback(
-        lambda s, t: (s[:, 0] >= t[:, 0]).astype(np.complex128), d=1, name="triangular"
+    # 1[s >= t] = phi(s - t) with phi(k) = 1[k >= 0]
+    return DiscreteSymbol.toeplitz(
+        lambda k: (k[:, 0] >= 0).astype(np.complex128), d=1, name="triangular"
     )
 
 

@@ -252,9 +252,10 @@ class TestBaseWalk:
         assert [check_2d(m2, 3, base).to_json(), check_dd(m2, 2, 3, base).to_json()] == whole
 
     def test_triangular_check_1d_memory_bounded(self):
-        # 32769 x 129 pair tables: the parent held them whole (323 MB peak)
-        peak = _peak_bytes(lambda: check_1d(catalog("triangular"), 14,
-                                            Box.interval(-64, 65)))
+        # 32769 x 129 pair tables: the parent held them whole (323 MB peak);
+        # the callback form walks every base in bounded runs
+        m = DiscreteSymbol.callback(lambda s, t: (s[:, 0] >= t[:, 0]).astype(complex))
+        peak = _peak_bytes(lambda: check_1d(m, 14, Box.interval(-64, 65)))
         assert peak < 128 * 2**20
 
     def test_toeplitz_check_2d_memory_bounded(self):
@@ -262,6 +263,32 @@ class TestBaseWalk:
                          "phi": "cos(0.83*k1 + 1.21*k2) / (1 + k1*k1 + k2*k2)"})
         peak = _peak_bytes(lambda: check_2d(m, 5, Box.cube(-8, 8, 2)))
         assert peak < 8 * 2**20
+
+
+class TestToeplitzCatalog:
+    # triangular and constant_one are Toeplitz: their checks walk one base,
+    # and the reports are the callback forms' reports to the byte
+    def test_triangular_matches_callback_form(self):
+        form = DiscreteSymbol.callback(lambda s, t: (s[:, 0] >= t[:, 0]).astype(complex),
+                                       name="triangular")
+        m = catalog("triangular")
+        assert m.kind == "toeplitz"
+        for nmax, base in ((6, Box.interval(-9, 9)), (14, Box.interval(-64, 65))):
+            rep = check_1d(m, nmax, base)
+            assert rep.to_json() == check_1d(form, nmax, base).to_json()
+        assert rep.c1 == 1.0 and rep.c2 == 1.0 and rep.within_block_sup == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_constant_one_matches_callback_form(self, d):
+        form = DiscreteSymbol.callback(lambda s, t: np.ones(len(s), dtype=complex),
+                                       d=d, name="constant_one")
+        m = catalog("constant_one", d=d)
+        assert m.kind == "toeplitz"
+        if d == 1:
+            run = lambda sym: check_1d(sym, 8, Box.interval(-16, 16))
+        else:
+            run = lambda sym: check_2d(sym, 4, Box.cube(-3, 3, 2))
+        assert run(m).to_json() == run(form).to_json()
 
 
 def _reference_sums(m, bases, regions):

@@ -83,7 +83,9 @@ class TestDiscreteSymbol:
             assert prod.kind == "toeplitz"
             assert np.array_equal(prod.eval_pairs(s, t),
                                   DiscreteSymbol.callback(form).eval_pairs(s, t))
-        assert (a * catalog("triangular")).kind == "callback"
+        # a product with any other kind is a callback
+        assert (a * catalog("smooth_homogeneous")).kind == "callback"
+        assert (a * catalog("triangular")).kind == "toeplitz"
 
     def test_dimension_mismatch_product(self):
         with pytest.raises(SymbolError):
@@ -150,6 +152,73 @@ class TestCatalog:
         assert not M.has_analytic_partials
         got = M.partial(2, 0.3, 0.1)
         assert got == pytest.approx(-2 * math.cos(0.1), abs=1e-5)
+
+
+def _pairwise_table(m, rows, cols):
+    # every (row point, column point) pair evaluated on its own
+    rp, cp = rows.points_array(), cols.points_array()
+    return m.eval_pairs(np.repeat(rp, len(cp), axis=0),
+                        np.tile(cp, (len(rp), 1))).reshape(rows.npoints, cols.npoints)
+
+
+class TestToeplitzStructure:
+    def test_catalog_toeplitz_symbols_are_shift_invariant(self):
+        rng = np.random.default_rng(11)
+        syms = [catalog(name) for name in catalog_names()
+                if isinstance(catalog(name), DiscreteSymbol)]
+        syms += [catalog("constant_one", d=d) for d in (2, 3)]
+        syms.append(catalog("lacunary_toeplitz", seed=5))
+        toeplitz = [m for m in syms if m.kind == "toeplitz"]
+        assert {m.name for m in toeplitz} >= {"triangular", "constant_one"}
+        for m in toeplitz:
+            s = rng.integers(-500, 500, size=(200, m.d))
+            t = rng.integers(-500, 500, size=(200, m.d))
+            c = rng.integers(-10**6, 10**6, size=(1, m.d))
+            assert np.array_equal(m.eval_pairs(s + c, t + c), m.eval_pairs(s, t))
+
+    @pytest.mark.parametrize("m,form", [
+        (catalog("triangular"),
+         DiscreteSymbol.callback(lambda s, t: (s[:, 0] >= t[:, 0]).astype(complex))),
+        (catalog("constant_one"),
+         DiscreteSymbol.callback(lambda s, t: np.ones(len(s), dtype=complex))),
+        (catalog("constant_one", d=2),
+         DiscreteSymbol.callback(lambda s, t: np.ones(len(s), dtype=complex), d=2)),
+    ], ids=["triangular", "constant_one", "constant_one_d2"])
+    def test_catalog_tables_match_callback_forms(self, m, form):
+        assert m.kind == "toeplitz"
+        d = m.d
+        for rows, cols in ((Box.cube(-5, 6, d), Box.cube(-5, 6, d)),
+                           (Box.cube(-3, 4, d), Box.cube(0, 9, d))):
+            assert np.array_equal(m.values_on(rows, cols), form.values_on(rows, cols))
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "toeplitz", "d": 1, "phi": "exp(0.37i*k1)*cos(0.7*k1)/(1+abs(k1))^0.5"},
+        {"kind": "toeplitz", "d": 2,
+         "phi": "exp(0.3i*k1 - 0.1*k2)*cos(0.7*k1 + 0.2*k2)/(1 + k1*k1 + k2*k2)"},
+    ], ids=["d1", "d2"])
+    def test_values_on_gather_matches_pairwise(self, spec):
+        m = load_symbol(spec)
+        d = m.d
+        windows = [
+            (Box.cube(-6, 6, d), Box.cube(-6, 6, d)),
+            (Box.cube(-2, 5, d), Box.cube(3, 7, d)),
+            (Box((0,) * d, (1,) * d), Box.cube(-4, 4, d)),
+        ]
+        if d == 2:
+            windows.append((Box((-2, 0), (3, 4)), Box((1, -3), (4, 5))))
+        syms = [m] + ([catalog("lacunary_toeplitz", seed=4), catalog("triangular")]
+                      if d == 1 else [catalog("constant_one", d=2)])
+        for sym in syms:
+            for rows, cols in windows:
+                got = sym.values_on(rows, cols)
+                assert got.shape == (rows.npoints, cols.npoints)
+                assert np.array_equal(got, _pairwise_table(sym, rows, cols))
+
+    def test_lacunary_window_beyond_level_table_raises(self):
+        m = catalog("lacunary_toeplitz", seed=0, levels=4)
+        m.values_on(Box.interval(0, 8), Box.interval(0, 8))  # |s - t| <= 7
+        with pytest.raises(SymbolError, match="exceeds the lacunary level table"):
+            m.values_on(Box.interval(0, 9), Box.interval(0, 9))
 
 
 class TestLoadSymbol:
