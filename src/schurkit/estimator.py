@@ -5,14 +5,21 @@ matrices on a finite window. The matrix unit at the largest |symbol| entry
 is scored without ascent, since it is a critical point of the ratio (and at
 p = 2 it attains the norm, so no other start runs). Seeded random restarts
 and warm starts ascend along the singular-value differential of the
-p-norm, with renormalization each step and backtracking. Everything is
-deterministic from (seed, restart index).
+p-norm, with renormalization each step and backtracking. For p < 2 the
+search runs at the dual exponent q = p/(p-1): the multiplier is self-adjoint
+under (A, B) -> tr(A B^T), so its S_p and S_q norms agree, and at even q every
+ascent step takes matrix products instead of SVDs. The duality map
+X -> conj(J(m X)), a half-step of Boyd's power method for matrix p-norms,
+carries warm starts to q and the best witness back to p without lowering the
+ratio, and the value is certified at p. Everything is deterministic from
+(seed, restart index).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -107,6 +114,35 @@ def _norm_gradient(Y, p):
     return out
 
 
+def _dual_exponent(p: float) -> float:
+    """p/(p-1), exact for the simplest fraction that rounds to p (4/3 -> 4.0).
+
+    Float division gives 4.000000000000001 at p = 4/3, which would miss the
+    even-p matrix-product kernels.
+    """
+    r = Fraction(p).limit_denominator(1 << 20)
+    if float(r) != p:
+        r = Fraction(p)
+    return float(r / (r - 1))
+
+
+def _duality_map(table, X, p):
+    """conj(J_p(m X)), J_p(Z) = U S^(p-1) V*, up to a positive factor.
+
+    By Hoelder, its ratio at p/(p-1) is at least the ratio of X at p: the
+    multiplier is self-adjoint under (A, B) -> tr(A B^T), which pairs m X
+    with J_p(m X) to ||m X||_p ||J_p(m X)||_(p/(p-1)). Z is scaled to
+    singular values at most 1 before the power, so a large p cannot overflow.
+    """
+    Z = table * X
+    if not Z.any():
+        return Z
+    if _even_half(p) is not None:
+        return np.conj(_norm_gradient(Z / np.linalg.norm(Z), p))
+    U, sig, Vh = np.linalg.svd(Z)
+    return np.conj((U * (sig / sig[0]) ** (p - 1.0)) @ Vh)
+
+
 def _ascend(table, X0, p, iterations):
     """Monotone projective ascent from one start; returns (value, X, steps)."""
     nrm = schatten_norm(X0, p)
@@ -175,7 +211,9 @@ def _certify(table, window, p, restarts, iterations, seed, extra_starts,
     """Search the table on window x window and certify the best witness.
 
     A table with no nonzero entry gives the value 0, flagged ``zero_symbol``;
-    otherwise the value is recomputed from the witness the search kept.
+    otherwise the value is recomputed from the witness the search kept. For
+    p < 2 the search runs at q = p/(p-1): the extra starts go in through the
+    duality map at p and the best witness comes out through the map at q.
     """
     if not np.abs(table).any():
         return EstimateResult(
@@ -183,7 +221,14 @@ def _certify(table, window, p, restarts, iterations, seed, extra_starts,
             window=window, restarts=restarts, iterations=0, seed=seed,
             flags={"zero_symbol": True, **flags},
         )
-    X, used = _search(table, p, restarts, iterations, seed, extra_starts)
+    if p < 2.0:
+        q = _dual_exponent(p)
+        extra_starts = [_duality_map(table, X, p) for X in extra_starts]
+        X, used = _search(table, q, restarts, iterations, seed, extra_starts)
+        X = _duality_map(table, X, q)
+        flags = {**flags, "search_p": q}
+    else:
+        X, used = _search(table, p, restarts, iterations, seed, extra_starts)
     value = schatten_norm(table * X, p) / schatten_norm(X, p)
     return EstimateResult(
         value=float(value), witness=LabeledMatrix(window, window, X), p=p,
@@ -202,8 +247,12 @@ def norm_lower_bound(m: DiscreteSymbol, window: Box, p, budget=None,
     Further starts are seeded complex Gaussians, ascended within the step
     budget; ``iterations`` counts only their steps. The reduction over
     restarts keeps the earliest maximizer, so results are reproducible
-    bit-for-bit for a fixed seed and budget. ``_table`` is m on window x
-    window when the caller has already built it.
+    bit-for-bit for a fixed seed and budget. For 1 < p < 2 all of this runs
+    at q = p/(p-1), recorded as ``flags["search_p"]``, and ``iterations``
+    counts steps taken at q; the best q-witness is mapped back to p by the
+    duality map, which never lowers the ratio, and the value is computed at
+    p. ``_table`` is m on window x window when the caller has already built
+    it.
     """
     pf = float(p)
     if not (1.0 < pf < math.inf):

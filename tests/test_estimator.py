@@ -337,3 +337,159 @@ class TestGrowthExperiment:
         for r in rows:
             assert r["iterations_budget"] == 7
             assert 0 <= r["iterations_used"] <= 7 * (budget["restarts"] + 1)
+
+
+def _symbol(name, seed):
+    """A catalog symbol, seeded where the catalog entry takes a seed."""
+    seeded = name in ("lacunary_toeplitz", "rank_one")
+    return catalog(name, seed=seed) if seeded else catalog(name)
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestDualExponentSearch:
+    """p < 2 is searched at q = p/(p-1) and certified at p."""
+
+    def test_dual_exponent_is_exact(self):
+        for p, q in ((4.0 / 3.0, 4.0), (float(Fraction(4, 3)), 4.0),
+                     (6.0 / 5.0, 6.0), (1.5, 3.0), (1.05, 21.0)):
+            assert estimator._dual_exponent(p) == q, p
+        # an exponent that is no simple fraction still gets its own dual
+        p = 1.2345678901234567
+        assert estimator._dual_exponent(p) == pytest.approx(p / (p - 1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("name,floor", [("triangular", 1.04),
+                                            ("lacunary_toeplitz", 1.70)])
+    def test_default_budget_floors_at_four_thirds(self, name, floor):
+        # searched at p = 4/3 itself, these stalled at 1.00001 and 1.0958
+        m = _symbol(name, 0)
+        res = norm_lower_bound(m, Box.interval(-16, 16), Fraction(4, 3), seed=0)
+        assert res.value >= floor
+        assert res.flags["search_p"] == 4.0
+        assert res.verify(m) == pytest.approx(res.value, rel=0, abs=1e-12)
+
+    def test_search_p_flag_only_below_two(self):
+        m = catalog("triangular")
+        win = Box.interval(-4, 4)
+        budget = {"restarts": 2, "iterations": 10}
+        assert "search_p" not in norm_lower_bound(m, win, 2.0, budget=budget).flags
+        assert "search_p" not in norm_lower_bound(m, win, 3.0, budget=budget).flags
+        assert norm_lower_bound(m, win, 1.5, budget=budget).flags["search_p"] == 3.0
+
+    @pytest.mark.parametrize("p", [Fraction(4, 3), Fraction(3, 2), Fraction(6, 5)],
+                             ids=["4/3", "3/2", "6/5"])
+    def test_growth_rows_nondecreasing_below_two(self, p):
+        # warm starts enter the dual search through the duality map, which
+        # never lowers the ratio, so each row is at least the previous one
+        budget = {"restarts": 2, "iterations": 30}
+        for name in ("triangular", "lacunary_toeplitz", "rank_one",
+                     "smooth_homogeneous"):
+            for seed in range(4):
+                rows = growth_experiment(_symbol(name, seed), [p], [4, 8, 16, 32],
+                                         budget=budget, seed=seed)
+                ests = [r["estimate"] for r in rows]
+                assert all(b >= a * (1.0 - 1e-12) for a, b in zip(ests, ests[1:])), \
+                    (name, seed, ests)
+
+    def test_zero_warm_start_stays_finite(self):
+        # the symbol vanishes on the first window, whose zero witness then
+        # warm-starts the second: its duality map must not divide by zero
+        m = DiscreteSymbol.callback(
+            lambda s, t: (np.abs(s[:, 0] - t[:, 0]) >= 4).astype(complex))
+        rows = growth_experiment(m, [Fraction(4, 3)], [2, 4],
+                                 budget={"restarts": 2, "iterations": 10})
+        assert rows[0]["estimate"] == 0.0
+        assert np.isfinite(rows[1]["estimate"]) and rows[1]["estimate"] >= 1.0 - 1e-12
+
+    def test_amplified_never_below_base_at_four_thirds(self):
+        m = catalog("lacunary_toeplitz", seed=1)
+        win = Box.interval(-4, 4)
+        kw = dict(budget={"restarts": 3, "iterations": 30}, seed=3)
+        k1 = cb_lower_bound(m, win, Fraction(4, 3), 1, **kw)
+        k2 = cb_lower_bound(m, win, Fraction(4, 3), 2, **kw)
+        assert k2.value >= k1.value - 1e-12
+        assert k2.flags == {"k_amp": 2, "search_p": 4.0}
+        for res in (k1, k2):
+            assert res.verify(m) == pytest.approx(res.value, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [Fraction(4, 3), 4.0 / 3.0, Fraction(6, 5), 6.0 / 5.0],
+                             ids=["4/3", "4/3-float", "6/5", "6/5-float"])
+    @pytest.mark.parametrize("iterations", [0, 5, 60])
+    def test_ascent_takes_no_svd(self, monkeypatch, p, iterations):
+        # at even q every step takes matrix products; the two SVDs are the
+        # certification norms at p
+        calls = _count_svds(monkeypatch)
+        m = catalog("lacunary_toeplitz", seed=2)
+        res = norm_lower_bound(m, Box.interval(-6, 6), p,
+                               budget={"restarts": 3, "iterations": iterations})
+        assert len(calls) == 2
+        assert iterations == 0 or res.iterations > 0
+
+    def test_growth_svds_are_certification_and_warm_starts(self, monkeypatch):
+        calls = _count_svds(monkeypatch)
+        growth_experiment(catalog("triangular"), [Fraction(4, 3)], [2, 4, 8],
+                          budget={"restarts": 3, "iterations": 20})
+        assert len(calls) == 3 * 2 + 2
+
+    def test_large_dual_exponent_is_finite(self):
+        # p = 1.05 gives q = 21, past the matrix-product kernels: the maps take
+        # SVDs, with singular values scaled to at most 1 before the power
+        m = catalog("lacunary_toeplitz", seed=0)
+        win = Box.interval(-8, 8)
+        res = norm_lower_bound(m, win, 1.05,
+                               budget={"restarts": 3, "iterations": 30})
+        sup = np.abs(m.values_on(win, win)).max()
+        assert np.isfinite(res.value) and res.value >= sup
+        assert res.flags["search_p"] == 21.0
+        assert res.verify(m) == pytest.approx(res.value, rel=0, abs=1e-12)
+
+
+def _tables():
+    win = Box.interval(-5, 5)
+    rng = np.random.default_rng(51)
+    yield catalog("triangular").values_on(win, win)
+    yield catalog("lacunary_toeplitz", seed=1).values_on(win, win)
+    yield catalog("smooth_homogeneous").values_on(win, win)
+    yield _random_complex(rng, (10, 10))
+
+
+class TestDualityMap:
+    def test_multiplier_is_self_adjoint_under_bilinear_pairing(self):
+        rng = np.random.default_rng(52)
+        for m in _tables():
+            A, B = _random_complex(rng, m.shape), _random_complex(rng, m.shape)
+            assert np.sum((m * A) * B) == pytest.approx(np.sum(A * (m * B)), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 1.5, 3.0, 4.0])
+    def test_ratio_never_falls_across_the_map(self, p):
+        # Hoelder: <m Y, X> = <Y, m X> = ||m X||_p ||Y||_q for Y the map of X
+        rng = np.random.default_rng(53)
+        q = estimator._dual_exponent(p)
+
+        def ratio(m, X, r):
+            return _svd_schatten_norm(m * X, r) / _svd_schatten_norm(X, r)
+
+        for m in _tables():
+            for _ in range(3):
+                X = _random_complex(rng, m.shape)
+                Y = estimator._duality_map(m, X, p)
+                assert ratio(m, Y, q) >= ratio(m, X, p) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 1.5, 3.0, 4.0])
+    def test_matrix_unit_maps_to_a_multiple_of_itself(self, p):
+        for m in _tables():
+            E = estimator._unit_start(m)
+            Y = estimator._duality_map(m, E, p)
+            assert np.count_nonzero(np.abs(Y) > 1e-14 * np.abs(Y).max()) == 1
+            i, j = np.argwhere(E)[0]
+            assert abs(Y[i, j]) > 0.0
