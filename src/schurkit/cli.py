@@ -136,7 +136,7 @@ def _resolve_symbol(args):
 
 
 def _run_config(args, command: str, symbol_label: str | None) -> dict:
-    keys = ("d", "nmax", "kmax", "jmin", "jmax", "base_range", "p", "n",
+    keys = ("nmax", "kmax", "jmin", "jmax", "base_range", "p", "n",
             "restarts", "iters", "seed", "amp", "format", "threshold",
             "trials", "inject_fault", "scale")
     cfg = {"command": command, "version": __version__}
@@ -505,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="variation-condition constants")
     common(p_check)
-    p_check.add_argument("--d", type=int, default=None)
     p_check.add_argument("--nmax", type=int, default=None)
     p_check.add_argument("--kmax", type=int, default=None)
     p_check.add_argument("--jmin", type=int, default=None)

@@ -4,11 +4,14 @@ Each checker sums absolute symbol differences over dyadic frequency blocks
 and reports the per-block table together with its suprema. The continuous
 checker integrates derivative magnitudes over dyadic shells, and
 ``discretize_continuous`` turns a continuous symbol into a dense discrete one
-by averaging over sheared half-open cells.
+by averaging over sheared half-open cells. Both quadratures use the
+Gauss-Legendre pair ``_GL_ORDERS``, one order checking the other: panel by
+adaptive panel for the shells and on a sample of cells for the averages.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -410,9 +413,17 @@ def check_dd(m: DiscreteSymbol, d: int, k_max: int, base_range: Box,
 # continuous symbols: cell-average discretization and derivative conditions
 
 
+# Gauss-Legendre orders of every quadrature: a rule, and the higher order
+# that checks it. Order 8 integrates polynomials of degree 15 exactly.
+_GL_ORDERS = (8, 12)
+
+
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
+    u, w = (x + 1.0) / 2.0, w / 2.0
+    u.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return u, w
 
 
 def _cell_averages(M: ContinuousSymbol, s_vals, t_vals, k: int, order: int):
@@ -446,15 +457,14 @@ def _paired_cell_averages(M: ContinuousSymbol, s_arr, t_arr, k: int, order: int)
 
 
 def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
-                          order: int = 8, tol: float = 1e-8,
-                          check: bool = True) -> DiscreteSymbol:
+                          tol: float = 1e-8, check: bool = True) -> DiscreteSymbol:
     """Dense symbol of cell averages of M at scale k over a window.
 
     Entry (s, t) is the mean of M over the sheared half-open cell traced by
     ((s+u)/2^k, (t+v+u)/2^k) for (u, v) in the unit square, computed with
-    tensor Gauss-Legendre quadrature. When ``check`` is set, a strided sample
-    of cells is recomputed at a higher order; disagreement above ``tol``
-    raises QuadratureError.
+    tensor Gauss-Legendre quadrature at the lower order of ``_GL_ORDERS``.
+    When ``check`` is set, a strided sample of cells is recomputed at the
+    higher order; disagreement above ``tol`` raises QuadratureError.
     """
     if M.d != 1:
         raise SymbolError("cell-average discretization is defined for d = 1 symbols")
@@ -463,6 +473,7 @@ def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
     if window.d != 1:
         raise ValueError("window must be one-dimensional")
     pts = window.points_array()[:, 0].astype(np.float64)
+    order, check_order = _GL_ORDERS
     entries = _cell_averages(M, pts, pts, k, order)
 
     if check:
@@ -475,7 +486,7 @@ def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
             idx = np.arange(0, total, stride)
         si, ti = idx // n, idx % n
         coarse = entries[si, ti]
-        fine = _paired_cell_averages(M, pts[si], pts[ti], k, order + 4)
+        fine = _paired_cell_averages(M, pts[si], pts[ti], k, check_order)
         gap = np.abs(fine - coarse)
         worst = int(np.argmax(gap))
         if gap[worst] > tol:
@@ -489,94 +500,107 @@ def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
     return DiscreteSymbol.dense(window, window, entries, name=name)
 
 
-# Panels refined per integrand call. Larger rounds cost memory, and on a
-# failing integrand they refine panels that lie after the first failure.
-_SIMPSON_BATCH = 256
+# Integrand values (panels x nodes x components) per call of the integrand.
+# Larger calls cost memory, and on a failing integrand they refine panels
+# that lie after the first failure.
+_GL_VALUES = 1 << 14
+
+# Limits past which a failing interval raises: halvings below the interval,
+# and panels waiting in it at once.
+_GL_MAX_DEPTH, _GL_MAX_PANELS = 28, 1 << 10
 
 
-def _adaptive_simpson(f, intervals, tol: float,
-                      initial_panels: int = 8, max_depth: int = 28):
-    """Adaptive Simpson integration (Lyness 1969) of vector-valued integrands.
+@functools.lru_cache(maxsize=None)
+def _end_weights(order: int):
+    """(2, order) weights that evaluate the interpolant on ``_gl_nodes(order)`` at 0 and 1."""
+    u = _gl_nodes(order)[0]
+    gap = np.array([[0.0], [1.0]]) - u
+    e = gap.prod(axis=1, keepdims=True) / gap / np.prod(u[:, None] - u + np.eye(order), axis=1)
+    e.flags.writeable = False  # shared by every caller
+    return e
+
+
+def _adaptive_gl(f, intervals, tol: float):
+    """Adaptive composite Gauss-Legendre integration of vector-valued integrands.
 
     ``f(t, which)`` maps abscissae ``t`` on the intervals ``which`` (indices
     into ``intervals``, a list of (a, b) pairs) to a ``(len(t), C)`` array;
-    the result is ``(len(intervals), C)``. Each interval starts as
-    ``initial_panels`` equal panels at tolerance ``tol / initial_panels``. A
-    panel passes when its worst component's error |Sl + Sr - S| is at most
-    15 times its tolerance; otherwise it splits into halves at half the
-    tolerance. The panels wait in depth-first order, and each round refines
-    the first ``_SIMPSON_BATCH`` of them with one call of ``f`` on their two
-    new nodes. A split panel's value is its left plus its right half and an
-    interval adds its initial panels left to right, so every sum is the one
-    the depth-first recursion forms. Raises QuadratureError for the first
-    panel, in depth-first order, still failing after ``max_depth`` halvings.
+    the result is ``(len(intervals), C)``. Every interval starts as one panel.
+    A panel is scored at both orders of ``_GL_ORDERS`` and at its two ends;
+    its error is the larger of its worst component's gap between the two
+    rules and what a kink beside an end, where neither rule has a node, can
+    hide. Each round scores every waiting panel of the first intervals in
+    the queue; the first call of ``f`` takes one panel, which shows the
+    number of components, and later calls up to ``_GL_VALUES`` values. An
+    interval whose panels' errors, with those it has accepted, add up to at
+    most ``tol`` is done, and their higher-order values join its total.
+    Otherwise a panel whose error is at most ``tol`` times its share of the
+    interval's width is accepted, and the others are halved. Raises
+    QuadratureError for the first panel of a round still failing after
+    ``_GL_MAX_DEPTH`` halvings, or for an interval with more than
+    ``_GL_MAX_PANELS`` panels waiting.
     """
     bounds = np.asarray(intervals, dtype=float).reshape(-1, 2)
     if np.any(bounds[:, 1] <= bounds[:, 0]):
         raise ValueError("empty integration interval")
-    n = max(1, int(initial_panels))
-    edges = np.linspace(bounds[:, 0], bounds[:, 1], n + 1, axis=1)
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    mid = 0.5 * (lo + hi)
-    root = np.arange(len(lo))  # initial panel: interval * n + position
-    # an edge shared by two initial panels is evaluated once
-    fe, fmid = np.split(f(np.concatenate([edges.ravel(), mid]),
-                          np.concatenate([np.repeat(np.arange(len(bounds)), n + 1), root // n])),
-                        [edges.size])
-    fe = fe.reshape(len(bounds), n + 1, -1)
-    flo, fhi = fe[:, :-1].reshape(len(lo), -1), fe[:, 1:].reshape(len(lo), -1)
-    ptol = np.full(len(lo), tol / n)
-    level = np.zeros(len(lo), dtype=np.int64)  # halvings below the root
-    path = np.zeros(len(lo), dtype=np.int64)  # left (0) / right (1) turns
-    work = [lo, hi, flo, fmid, fhi, ptol, root, level, path]
-    leaves = []
-    while len(work[0]):
-        batch = [a[:_SIMPSON_BATCH] for a in work]
-        rest = [a[_SIMPSON_BATCH:] for a in work]
-        lo, hi, flo, fmid, fhi, ptol, root, level, path = batch
-        # each panel's Simpson value, by the expression that first formed it
-        S = ((hi - lo) / 6.0)[:, None] * (flo + 4.0 * fmid + fhi)
-        mid = 0.5 * (lo + hi)
-        flm, frm = np.split(f(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)]),
-                              np.tile(root // n, 2)), 2)
-        Sl = ((mid - lo) / 6.0)[:, None] * (flo + 4.0 * flm + fmid)
-        Sr = ((hi - mid) / 6.0)[:, None] * (fmid + 4.0 * frm + fhi)
-        both = Sl + Sr
-        err = np.abs(both - S).max(axis=1)
-        ok = err <= 15.0 * ptol
-        leaves.append((root[ok], level[ok], path[ok],
-                       both[ok] + (both[ok] - S[ok]) / 15.0))
+    (u_lo, w_lo), (u_hi, w_hi) = (_gl_nodes(q) for q in _GL_ORDERS)
+    e_lo, e_hi = (_end_weights(q) for q in _GL_ORDERS)
+    u = np.concatenate([u_lo, u_hi, [0.0, 1.0]])
+    n_lo, n_hi, n = len(u_lo), len(u_hi), len(bounds)
+
+    def score(lo, hi, which):
+        width = (hi - lo)[:, None]
+        vals = f((lo[:, None] + width * u).ravel(), np.repeat(which, len(u)))
+        vals = vals.reshape(len(lo), len(u), -1)
+        v_lo, v_hi, v_end = vals[:, :n_lo], vals[:, n_lo:n_lo + n_hi], vals[:, n_lo + n_hi:]
+        q_lo, q_hi = (width * np.einsum("pqc,q->pc", v, w) for v, w in ((v_lo, w_lo), (v_hi, w_hi)))
+        # A kink within u_hi[0] of an end bends f away from both interpolants
+        # while they agree; its misfit beyond their gap bounds what it hides.
+        p_lo, p_hi = (np.einsum("eq,pqc->pec", e, v) for e, v in ((e_lo, v_lo), (e_hi, v_hi)))
+        misfit = (np.abs(v_end - p_hi) - np.abs(p_hi - p_lo)).max(axis=(1, 2))
+        return q_hi, np.maximum(np.abs(q_hi - q_lo).max(axis=1), u_hi[0] * width[:, 0] * misfit)
+
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    span = hi - lo
+    which, depth = np.arange(n), np.zeros(n, dtype=np.int64)
+    total, spent = None, np.zeros(n)
+    per_call = 1  # panels per call, until the first call shows the components
+    while len(lo):
+        # The queue stays sorted by interval, and a round takes whole ones.
+        m = min(len(lo), per_call)
+        if m < len(lo) and which[m] == which[m - 1]:
+            m = np.searchsorted(which, which[m - 1]) or np.searchsorted(which, which[0], "right")
+        b_lo, b_hi, b_which, b_depth = lo[:m], hi[:m], which[:m], depth[:m]
+        ids, waiting = np.unique(b_which, return_counts=True)
+        if waiting.max() > _GL_MAX_PANELS:
+            a, b = bounds[ids[np.argmax(waiting)]]
+            raise QuadratureError(
+                f"adaptive quadrature on [{a:.17g}, {b:.17g}] needs more than "
+                f"{_GL_MAX_PANELS} panels"
+            )
+        value, err = (np.concatenate(a) for a in zip(*(
+            score(b_lo[k:k + per_call], b_hi[k:k + per_call], b_which[k:k + per_call])
+            for k in range(0, m, per_call))))
+        if total is None:
+            total = np.zeros((n, value.shape[1]), dtype=value.dtype)
+            per_call = max(1, _GL_VALUES // (len(u) * value.shape[1]))
+        done = spent + np.bincount(b_which, weights=err, minlength=n) <= tol
+        ok = done[b_which] | (err <= tol * (b_hi - b_lo) / span[b_which])
+        np.add.at(total, b_which[ok], value[ok])
+        spent += np.bincount(b_which[ok], weights=err[ok], minlength=n)
         split = ~ok
-        # A panel is refined no later than any panel after it, so the first
-        # one to stall is also the first in depth-first order.
-        stalled = np.flatnonzero(split & (level >= max_depth))
+        stalled = np.flatnonzero(split & (b_depth >= _GL_MAX_DEPTH))
         if len(stalled):
             k = stalled[0]
             raise QuadratureError(
-                f"adaptive quadrature stalled on [{lo[k]:g}, {hi[k]:g}] "
+                f"adaptive quadrature stalled on [{b_lo[k]:.17g}, {b_hi[k]:.17g}] "
                 f"with error {err[k]:.3e}"
             )
-        halves = [(lo, mid), (mid, hi), (flo, fmid), (flm, frm), (fmid, fhi),
-                  (ptol / 2.0, ptol / 2.0), (root, root),
-                  (level + 1, level + 1), (2 * path, 2 * path + 1)]
-        work = [np.concatenate([np.stack([left[split], right[split]], axis=1)
-                                .reshape((-1,) + left.shape[1:]), r])
-                for (left, right), r in zip(halves, rest)]
-
-    root, level, path, value = (np.concatenate(x) for x in zip(*leaves))
-    for depth in range(int(level.max()), 0, -1):
-        # siblings sit next to each other, left first
-        at = np.flatnonzero(level == depth)
-        at = at[np.lexsort((path[at], root[at]))]
-        keep = level != depth
-        root = np.concatenate([root[keep], root[at[0::2]]])
-        level = np.concatenate([level[keep], level[at[0::2]] - 1])
-        path = np.concatenate([path[keep], path[at[0::2]] // 2])
-        value = np.concatenate([value[keep], value[at[0::2]] + value[at[1::2]]])
-    parts = value[np.argsort(root)].reshape(len(bounds), n, -1)
-    total = parts[:, 0]
-    for p in range(1, n):
-        total = total + parts[:, p]
+        mid = 0.5 * (b_lo + b_hi)
+        halves = [(b_lo, mid), (mid, b_hi), (b_which, b_which), (b_depth + 1, b_depth + 1)]
+        lo, hi, which, depth = (
+            np.concatenate([np.stack([left[split], right[split]], axis=1).ravel(), rest[m:]])
+            for (left, right), rest in zip(halves, (lo, hi, which, depth)))
     return total
 
 
@@ -592,9 +616,12 @@ def _normalize_levels(j_range) -> list[int]:
     return levels
 
 
-def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
-                     quad_order: int = 16, *, y_grid=None,
-                     y_span=(-4.0, 4.0), tol: float = 1e-9) -> ConditionReport:
+# Sampled bases y of the d = 1 continuous check: an even grid on _Y_SPAN.
+_Y_SPAN, _Y_SAMPLES = (-4.0, 4.0), 129
+
+
+def check_continuous(M: ContinuousSymbol, j_range, *,
+                     tol: float = 1e-9) -> ConditionReport:
     """Supremum of dyadic-shell integrals of |derivative of M|.
 
     d = 1: for each level j and base y, integrates |d/dx M(y+t, y)| (and the
@@ -602,15 +629,15 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
     axis mask, integrates the mixed derivative magnitude over the mask's
     slice of the shell 2^j < |t|_inf <= 2^(j+1), the other coordinate pinned
     to the shell's outer edge; both argument orders. The supremum over bases
-    is a max over the reported sample grid, not a proven supremum.
-    ``quad_order`` is the number of initial Simpson panels per shell half
-    (per integration interval at d = 2), passed to ``_adaptive_simpson`` as
-    ``initial_panels``; the panels are then refined adaptively to ``tol``.
+    is a max over the reported sample grid, not a proven supremum. Every
+    integral is one ``_adaptive_gl`` interval solved to ``tol``, each shell
+    half starting as one panel. At d = 1 each shell half and base is its own
+    interval, one solve per derivative slot; at d = 2 the bases are the
+    components of one interval.
     """
     levels = _normalize_levels(j_range)
     if M.d == 1:
-        ys = (np.linspace(y_span[0], y_span[1], base_samples)
-              if y_grid is None else np.asarray(y_grid, dtype=float))
+        ys = np.linspace(*_Y_SPAN, _Y_SAMPLES)
         # both signed halves of every shell, in level order
         shells = [(2.0**j, 2.0 ** (j + 1)) for j in levels]
         intervals = [iv for lo, hi in shells for iv in ((lo, hi), (-hi, -lo))]
@@ -622,11 +649,14 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
 
         sums = []
         for slot in (1, 2):
+            # one scalar integral per half and base: a kink of |derivative|,
+            # which sits elsewhere at every base, refines that base alone
             def f(t, which, slot=slot):
-                x, y = shifted(t)
-                return np.abs(M.partial(1, x, y) if slot == 1 else M.partial(2, y, x))
+                y = ys[which % len(ys)]
+                return np.abs(M.partial(1, y + t, y) if slot == 1 else M.partial(2, y, y + t))[:, None]
 
-            res = _adaptive_simpson(f, intervals, tol, quad_order)
+            res = _adaptive_gl(f, np.repeat(intervals, len(ys), axis=0), tol)
+            res = res.reshape(len(intervals), len(ys))
             sums.append(res[0::2] + res[1::2])  # positive half + negative half
         table = []
         for lvl, j in enumerate(levels):
@@ -656,11 +686,8 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
         return report
 
     if M.d == 2:
-        if y_grid is None:
-            axis = np.linspace(-2.0, 2.0, 5)
-            ys = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        else:
-            ys = np.asarray(y_grid, dtype=float).reshape(-1, 2)
+        axis = np.linspace(-2.0, 2.0, 5)
+        ys = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         table = []
         for j in levels:
             a_edge, b_edge = 2.0**j, 2.0 ** (j + 1)
@@ -680,20 +707,16 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
                     if alpha == (1, 1):
                         # one inner solve per round of outer abscissae
                         def inner(t2, which):
-                            return _adaptive_simpson(
-                                lambda t1, k: at(t1, t2[k]),
-                                [(-b_edge, b_edge)] * len(t2), tol, quad_order,
-                            )
+                            return _adaptive_gl(lambda t1, k: at(t1, t2[k]),
+                                                [(-b_edge, b_edge)] * len(t2), tol)
 
                         def inner_side(t1, which):
-                            return _adaptive_simpson(
-                                lambda t2, k: at(t1[k], t2),
-                                [(-a_edge, a_edge)] * len(t1), tol, quad_order,
-                            )
+                            return _adaptive_gl(lambda t2, k: at(t1[k], t2),
+                                                [(-a_edge, a_edge)] * len(t1), tol)
 
                         shells = [(a_edge, b_edge), (-b_edge, -a_edge)]
-                        r1 = _adaptive_simpson(inner, shells, tol, quad_order)
-                        r2 = _adaptive_simpson(inner_side, shells, tol, quad_order)
+                        r1 = _adaptive_gl(inner, shells, tol)
+                        r2 = _adaptive_gl(inner_side, shells, tol)
                         vals = r1[0] + r1[1] + r2[0] + r2[1]
                     else:
                         free = 0 if alpha == (1, 0) else 1
@@ -701,7 +724,7 @@ def check_continuous(M: ContinuousSymbol, j_range, base_samples: int = 129,
                         def line(tf, which):
                             return at(tf, b_edge) if free == 0 else at(b_edge, tf)
 
-                        vals = _adaptive_simpson(line, [(-b_edge, b_edge)], tol, quad_order)[0]
+                        vals = _adaptive_gl(line, [(-b_edge, b_edge)], tol)[0]
                     i = int(np.argmax(vals))
                     table.append({
                         "level": j, "direction": f"{alpha}-{orient}",

@@ -57,6 +57,13 @@ class TestCheck:
         assert main(["check", "--catalog", "nope"]) == 2
         assert "valid:" in capsys.readouterr().err
 
+    def test_dimension_option_rejected(self, capsys):
+        # the symbol fixes the dimension; there is no --d to disagree with it
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--catalog", "triangular", "--d", "2"])
+        assert exc.value.code == 2
+        assert "--d" in capsys.readouterr().err
+
     def test_bad_base_range(self, capsys):
         rc = main(["check", "--catalog", "triangular", "--base-range", "abc"])
         assert rc == 2

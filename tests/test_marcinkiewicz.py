@@ -8,6 +8,8 @@ quadrature accuracy.
 import itertools
 import json
 import math
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -426,6 +428,15 @@ class TestDiscretize:
         assert m.name.endswith("_avg_k5")
 
 
+def _abs_cos_integral(a, b):
+    # F(x) = 2k + (-1)^k sin x on |x - k pi| <= pi/2 is an antiderivative of |cos x|
+    def F(x):
+        k = math.floor(x / math.pi + 0.5)
+        return 2 * k + (-1) ** k * math.sin(x)
+
+    return F(b) - F(a)
+
+
 class TestCheckContinuous:
     def test_arctan_levels_match_closed_form(self):
         # the level-j shell integral of 1/(1 + t^2) over both signs
@@ -436,6 +447,14 @@ class TestCheckContinuous:
         for j, got in per.items():
             want = 2.0 * (math.atan(2.0 ** (j + 1)) - math.atan(2.0**j))
             assert got == pytest.approx(want, abs=1e-8)
+
+    def test_arctan_rows_match_closed_form_to_rounding(self):
+        # every row, both slots, levels -7..7: no panel error is left over
+        rep = check_continuous(catalog("continuous_arctan"), (-7, 7))
+        for r in rep.table:
+            j = r["level"]
+            want = 2.0 * (math.atan(2.0 ** (j + 1)) - math.atan(2.0**j))
+            assert abs(r["value"] - want) < 1e-14
 
     def test_arctan_supremum(self):
         rep = check_continuous(catalog("continuous_arctan"), (-3, 4))
@@ -463,140 +482,170 @@ class TestCheckContinuous:
 
     def test_d2_product_still_stalls(self):
         # known defect (ROADMAP 5(a)): central differences of a smooth 2-d
-        # symbol are too noisy for the absolute tolerance
+        # symbol are too noisy for the panel tolerance
         m = load_symbol({"kind": "continuous", "d": 2,
                          "expr": "arctan(x1 - y1) * arctan(x2 - y2)"})
         with pytest.raises(QuadratureError) as exc:
             check_continuous(m, (0, 0))
-        assert str(exc.value) == ("adaptive quadrature stalled on "
-                                  "[-1.99414, -1.99414] with error 2.368e-15")
+        assert str(exc.value) == ("adaptive quadrature on [-2, 2] needs more "
+                                  "than 1024 panels")
+
+    def test_kinked_symbol_rows_match_closed_form(self):
+        # |cos t| has kinks at odd multiples of pi/2; A(j) is the integral
+        # of |cos t| over both halves of the level-j shell, at every base
+        m = load_symbol({"kind": "continuous", "d": 1, "expr": "sin(x1 - y1)"})
+        rep = check_continuous(m, (-7, 5))
+        assert len(rep.table) == 26
+        for r in rep.table:
+            j = r["level"]
+            assert abs(r["value"] - 2 * _abs_cos_integral(2.0**j, 2.0 ** (j + 1))) <= 2e-9
+
+    def test_kinked_ratio_passes_quickly(self):
+        # the derivative changes sign at a different t for every base
+        m = load_symbol({"kind": "continuous", "d": 1,
+                         "expr": "cos(x1) / (1 + (x1 - y1)^2)"})
+        start = time.perf_counter()
+        rep = check_continuous(m, (-7, 2))
+        assert time.perf_counter() - start < 1.0
+        assert rep.a_const == pytest.approx(0.86382979315, abs=1e-9)
 
     def test_ratio_check_memory_bounded(self):
-        # rounds of 256 panels over all 30 shells, 129 bases each
+        # one interval per shell half and base, 2^14 values per call
         peak = _peak_bytes(lambda: check_continuous(catalog("continuous_ratio"), (-7, 7)))
         assert peak < 16 * 2**20
-
-
-def _recursive_simpson(f, a, b, tol, initial_panels=8, max_depth=28):
-    # the one-panel-per-call recursion the batched rule reproduces
-    if b <= a:
-        raise ValueError("empty integration interval")
-    initial_panels = max(1, int(initial_panels))
-
-    def rec(lo, hi, flo, fmid, fhi, S, local_tol, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        Sl = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        Sr = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = float(np.max(np.abs(Sl + Sr - S)))
-        if err <= 15.0 * local_tol:
-            return Sl + Sr + (Sl + Sr - S) / 15.0
-        if depth <= 0:
-            raise QuadratureError(
-                f"adaptive quadrature stalled on [{lo:g}, {hi:g}] with error {err:.3e}"
-            )
-        return rec(lo, mid, flo, flm, fmid, Sl, local_tol / 2.0, depth - 1) + rec(
-            mid, hi, fmid, frm, fhi, Sr, local_tol / 2.0, depth - 1
-        )
-
-    edges = np.linspace(a, b, initial_panels + 1)
-    total = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        flo, fmid, fhi = f(lo), f(mid), f(hi)
-        S = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-        part = rec(lo, hi, flo, fmid, fhi, S, tol / initial_panels, max_depth)
-        total = part if total is None else total + part
-    return total
 
 
 _SHELLS = [iv for j in range(-7, 8)
            for iv in ((2.0**j, 2.0 ** (j + 1)), (-2.0 ** (j + 1), -2.0**j))]
 
 
-class TestBatchedSimpson:
-    @pytest.mark.parametrize("batch", [1, 3, None])
-    @pytest.mark.parametrize("panels", [1, 8, 16])
+def _panels_per_call(monkeypatch, panels, components):
+    # calls of `panels` panels, each at both orders' nodes and its two ends
+    if panels is not None:
+        nodes = sum(marcinkiewicz._GL_ORDERS) + 2
+        monkeypatch.setattr(marcinkiewicz, "_GL_VALUES", panels * nodes * components)
+
+
+class TestAdaptiveGL:
+    @pytest.mark.parametrize("panels", [1, 3, None])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     @pytest.mark.parametrize("name", ["continuous_arctan", "continuous_ratio"])
-    def test_matches_recursion_bit_for_bit(self, monkeypatch, name, panels, batch):
-        # small batches split sibling panels across rounds
-        if batch is not None:
-            monkeypatch.setattr(marcinkiewicz, "_SIMPSON_BATCH", batch)
+    def test_rounds_do_not_change_the_result(self, monkeypatch, name, tol, panels):
+        # a round takes whole intervals, so all 30 shells in calls of any
+        # size give what one shell per solve gives, within tol of a solve at
+        # a far smaller tolerance
         M = catalog(name)
         ys = np.linspace(-4.0, 4.0, 129)
 
-        def batched(t, which):
+        def f(t, which):
             x = ys[None, :] + t[:, None]
             return np.abs(M.partial(1, x, np.broadcast_to(ys, x.shape)))
 
-        got = marcinkiewicz._adaptive_simpson(batched, _SHELLS, 1e-9, panels)
-        want = np.stack([
-            _recursive_simpson(lambda t: np.abs(M.partial(1, ys + t, ys)),
-                               a, b, 1e-9, panels)
-            for a, b in _SHELLS])
+        alone = np.concatenate([marcinkiewicz._adaptive_gl(f, [iv], tol) for iv in _SHELLS])
+        ref = marcinkiewicz._adaptive_gl(f, _SHELLS, 1e-13)
+        _panels_per_call(monkeypatch, panels, 129)
+        got = marcinkiewicz._adaptive_gl(f, _SHELLS, tol)
         assert got.shape == (30, 129)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, alone)
+        assert np.abs(got - ref).max() <= tol
 
-    def test_shared_initial_edges_evaluated_once(self):
-        # 30 intervals of 8 initial panels: 9 edges and 8 midpoints each,
-        # where every panel's own lo, mid and hi would be 24
+    def test_second_call_scores_every_other_interval(self):
+        # one panel shows that f has one component; then the other 29
+        # intervals' panels, at the 8 + 12 nodes of both orders and the
+        # two ends, fit in one call
         sizes = []
 
         def f(t, which):
             sizes.append(len(t))
             return np.exp(-t * t)[:, None]
 
-        marcinkiewicz._adaptive_simpson(f, _SHELLS, 1e-9, 8)
-        assert sizes[0] == 30 * 17
+        marcinkiewicz._adaptive_gl(f, _SHELLS, 1e-9)
+        nodes = sum(marcinkiewicz._GL_ORDERS) + 2
+        assert sizes[:2] == [nodes, 29 * nodes]
 
-    @pytest.mark.parametrize("batch", [1, 3, None])
-    def test_nested_solves_match_recursion(self, monkeypatch, batch):
+    def test_degree_15_exact_on_one_panel(self):
+        # order 8 integrates degree 15 exactly, so the one panel passes
+        calls = []
+
+        def f(t, which):
+            calls.append(len(t))
+            return (t**15)[:, None]
+
+        got = marcinkiewicz._adaptive_gl(f, [(-1.0, 2.0)], 1e-9)
+        assert got[0, 0] == pytest.approx((2.0**16 - 1.0) / 16.0, rel=1e-14)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("panels", [1, 3, None])
+    def test_nested_solve_matches_closed_form(self, monkeypatch, panels):
         # the outer integrand solves one inner interval per abscissa;
         # ``which`` tells it the abscissa
-        if batch is not None:
-            monkeypatch.setattr(marcinkiewicz, "_SIMPSON_BATCH", batch)
+        _panels_per_call(monkeypatch, panels, 3)
         c = np.array([0.5, 1.0, 2.0])
-
-        def g(t1, t2):
-            return 1.0 / (1.0 + c * (t1 - t2) ** 2)
+        r = np.sqrt(c)
 
         def outer(t2, which):
-            return marcinkiewicz._adaptive_simpson(
-                lambda t1, k: g(t1[:, None], t2[k][:, None]),
-                [(-1.0, 2.0)] * len(t2), 1e-6, 2)
+            return marcinkiewicz._adaptive_gl(
+                lambda t1, k: 1.0 / (1.0 + c * (t1[:, None] - t2[k][:, None]) ** 2),
+                [(-1.0, 2.0)] * len(t2), 1e-12)
 
-        shells = [(1.0, 2.0), (-2.0, -1.0)]
-        got = marcinkiewicz._adaptive_simpson(outer, shells, 1e-6, 2)
-        want = [_recursive_simpson(
-                    lambda t2: _recursive_simpson(lambda t1: g(t1, t2), -1.0, 2.0, 1e-6, 2),
-                    a, b, 1e-6, 2)
-                for a, b in shells]
-        assert np.array_equal(got, np.stack(want))
+        got = marcinkiewicz._adaptive_gl(outer, [(1.0, 2.0)], 1e-12)[0]
 
-    @pytest.mark.parametrize("batch", [1, 3, None])
-    def test_stall_reports_the_first_failing_panel(self, monkeypatch, batch):
-        # jumps at 0.3, 0.7 and 1.6 never pass; the recursion meets 0.3 first
-        if batch is not None:
-            monkeypatch.setattr(marcinkiewicz, "_SIMPSON_BATCH", batch)
+        def H(u):
+            # H'(u) = atan(sqrt(c) u) / sqrt(c), the inner antiderivative
+            return u * np.arctan(r * u) / r - np.log1p(c * u * u) / (2.0 * c)
+
+        want = H(1.0) - H(0.0) - H(-2.0) + H(-3.0)
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_kink_beside_an_end_is_seen(self):
+        # 7 pi / 2 lies 0.44 % of the width from 11, nearer than any node of
+        # either rule: the rules agree to 3e-16 on [10, 11], 2e-5 off the
+        # integral, and only the misfit at the end refines the panel
+        got = marcinkiewicz._adaptive_gl(
+            lambda t, k: np.abs(np.cos(t))[:, None], [(10.0, 11.0), (8.0, 16.0)], 1e-9)
+        want = [_abs_cos_integral(10.0, 11.0), _abs_cos_integral(8.0, 16.0)]
+        assert np.abs(got[:, 0] - want).max() <= 1e-9
+
+    def test_kinks_share_their_interval_tolerance(self):
+        # ten kinks in [32, 64] need about 17 halvings when the interval's
+        # errors add up to tol; held to tol times its width, each needs 31
+        calls = []
+
+        def f(t, which):
+            calls.append(len(t))
+            return np.abs(np.cos(t))[:, None]
+
+        got = marcinkiewicz._adaptive_gl(f, [(32.0, 64.0)], 1e-9)[0, 0]
+        want = _abs_cos_integral(32.0, 64.0)
+        assert abs(got - want) <= 1e-9
+        assert len(calls) <= 20
+
+    def test_noise_raises_on_panel_count(self):
+        # every panel fails, so the panels double each round until the cap
+        with pytest.raises(QuadratureError, match=r"on \[0, 1\] needs more than 1024 panels"):
+            marcinkiewicz._adaptive_gl(
+                lambda t, k: np.sin(1e9 * t)[:, None], [(0.0, 1.0)], 1e-9)
+
+    @pytest.mark.parametrize("panels", [1, 3, None])
+    def test_stall_reports_the_first_failing_panel(self, monkeypatch, panels):
+        # jumps at 0.3, 0.7 and 1.6 never pass; the jumps of one interval
+        # reach the depth limit in the same round, and 0.3 comes first in
+        # it, whatever the call size
+        _panels_per_call(monkeypatch, panels, 2)
         c = np.array([1.0, 2.0])
 
-        def step(t):
-            return ((t > 0.3) + (t > 0.7) + (t > 1.6))[..., None] * c
+        def step(t, which):
+            return ((t > 0.3) + (t > 0.7) + (t > 1.6))[:, None] * c
 
-        intervals = [(-1.0, 0.2), (0.0, 1.0), (1.0, 2.0)]
-        with pytest.raises(QuadratureError) as want:
-            for a, b in intervals:
-                _recursive_simpson(step, a, b, 1e-12, 8, 6)
-        with pytest.raises(QuadratureError) as got:
-            marcinkiewicz._adaptive_simpson(lambda t, k: step(t), intervals, 1e-12, 8, 6)
-        assert str(got.value) == str(want.value)
-        assert "[0.298828, 0.300781]" in str(got.value)
+        with pytest.raises(QuadratureError) as exc:
+            marcinkiewicz._adaptive_gl(step, [(-1.0, 0.2), (0.0, 1.0), (1.0, 2.0)], 1e-12)
+        lo, hi = (float(v) for v in re.search(r"\[(.*), (.*)\]", str(exc.value)).groups())
+        assert lo < 0.3 < hi
+        assert hi - lo == 2.0**-marcinkiewicz._GL_MAX_DEPTH
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
-            marcinkiewicz._adaptive_simpson(lambda t, k: t[:, None], [(0.0, 1.0), (2.0, 2.0)],
-                                            1e-9)
+            marcinkiewicz._adaptive_gl(lambda t, k: t[:, None], [(0.0, 1.0), (2.0, 2.0)], 1e-9)
 
 
 class TestConditionReport:

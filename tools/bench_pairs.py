@@ -19,6 +19,7 @@ every job kind.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -90,6 +91,18 @@ def summarize(records, seeds, first):
             "metrics": metrics}, kind_medians
 
 
+def checkout_state(path: Path, commit) -> str:
+    """The commit a side ran, and a hash of its uncommitted changes to the code it ran."""
+    if not commit:
+        return "none (not a git checkout)"
+    diff = subprocess.run(["git", "-C", str(path), "diff", "HEAD", "--binary", "--",
+                           "src", "perfbench"], capture_output=True)
+    if diff.returncode != 0 or not diff.stdout:
+        return commit
+    digest = hashlib.sha256(diff.stdout).hexdigest()[:16]
+    return f"{commit} plus uncommitted changes (sha256 of git diff HEAD -- src perfbench: {digest})"
+
+
 def environment(record):
     env = dict(record["environment"])
     for key in ("seed", "commit"):
@@ -135,8 +148,9 @@ def main(argv=None):
     for w in WORKLOADS:
         summary[w], kind_medians[w] = summarize(records[w], seeds, first)
     any_record = records[WORKLOADS[0]]["parent"][0]
-    commits = {side: records[WORKLOADS[0]][side][0]["environment"].get("commit")
-               or "none (not a git checkout)" for side in SIDES}
+    commits = {side: checkout_state(checkouts[side],
+                                    records[WORKLOADS[0]][side][0]["environment"].get("commit"))
+               for side in SIDES}
     command = ("python3 perfbench/run.py --workload <w> --seed <seed> "
                + ("--smoke" if args.smoke else f"--seconds {args.seconds:g}") + " --trace 0")
     out = {
