@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from ._expr import ParseError
-from .estimator import _estimate_row, apply_schur, cb_lower_bound, growth_experiment
+from .estimator import (LINE_SEARCH_COUNTS, _estimate_row, apply_schur, cb_lower_bound,
+                        growth_experiment)
 from .lattice import Box, fundamental_theorem_expand
 from .marcinkiewicz import (
     QuadratureError,
@@ -155,18 +156,20 @@ def _run_config(args, command: str, symbol_label: str | None) -> dict:
 # output plumbing
 
 
-def _emit(args, config: dict, data_obj, csv_rows) -> str:
-    """Serialize a report: stable data section, timestamp only in the header."""
+def _emit(args, config: dict, data_obj, csv_rows, counters=None) -> str:
+    """Serialize a report: stable data section; timestamp and work counters
+    only in the header."""
     fmt = getattr(args, "format", None) or "json"
     if fmt == "json":
-        body = {
-            "header": {"run_config": config, "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())},
-            "data": data_obj,
-        }
+        header = {"run_config": config, "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+        if counters is not None:
+            header["counters"] = counters
+        body = {"header": header, "data": data_obj}
         text = json.dumps(_jsonable(body), indent=2, sort_keys=True) + "\n"
     else:
         lines = [f"# {k}={config[k]}" for k in sorted(config)]
         lines.append(f"# generated_at={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}")
+        lines += [f"# counters.{k}={counters[k]}" for k in sorted(counters or ())]
         for row in csv_rows:
             lines.append(",".join(str(c) for c in row))
         text = "\n".join(lines) + "\n"
@@ -371,12 +374,15 @@ def cmd_estimate(args) -> int:
     amp = args.amp or 1
     budget = {"restarts": args.restarts or 10, "iterations": args.iters or 200}
     rows = []
+    counters = {f"line_search_{key}": 0 for key in LINE_SEARCH_COUNTS}
     for tok, p in p_list:
         for N in n_list:
             res = cb_lower_bound(sym, Box.cube(-N, N, sym.d), p, amp, budget=budget, seed=seed)
             rows.append(_estimate_row(sym, label, tok, N, res, budget["iterations"]))
+            for key, n in res.flags["line_search"].items():
+                counters[f"line_search_{key}"] += n
     config = _run_config(args, "estimate", label)
-    _emit(args, config, {"rows": rows}, _estimate_csv(rows))
+    _emit(args, config, {"rows": rows}, _estimate_csv(rows), counters)
     if args.threshold is not None and any(r["estimate"] > args.threshold for r in rows):
         return 1
     return 0

@@ -5,14 +5,17 @@ matrices on a finite window. The matrix unit at the largest |symbol| entry
 is scored without ascent, since it is a critical point of the ratio (and at
 p = 2 it attains the norm, so no other start runs). Seeded random restarts
 and warm starts ascend along the singular-value differential of the
-p-norm, with renormalization each step and backtracking. For p < 2 the
-search runs at the dual exponent q = p/(p-1): the multiplier is self-adjoint
-under (A, B) -> tr(A B^T), so its S_p and S_q norms agree, and at even q every
-ascent step takes matrix products instead of SVDs. The duality map
-X -> conj(J(m X)), a half-step of Boyd's power method for matrix p-norms,
-carries warm starts to q and the best witness back to p without lowering the
-ratio, and the value is certified at p. Everything is deterministic from
-(seed, restart index).
+p-norm, with renormalization each step and backtracking. At even p = 2k the
+Gram matrix Y* Y of the accepted Y = m X feeds the next gradient, and a
+rejected first step is backtracked on the Gram expansion along the line,
+tr((A + hB + h^2 C)^k), so a halving forms no candidate matrix. For p < 2
+the search runs at the dual exponent q = p/(p-1): the multiplier is
+self-adjoint under (A, B) -> tr(A B^T), so its S_p and S_q norms agree, and
+at even q every ascent step takes matrix products instead of SVDs. The
+duality map X -> conj(J(m X)), a half-step of Boyd's power method for matrix
+p-norms, carries warm starts to q and the best witness back to p without
+lowering the ratio, and the value is certified at p. Everything is
+deterministic from (seed, restart index).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import Box
-from .schatten import LabeledMatrix, _even_half, _svd_schatten_norm, schatten_norm
+from .schatten import (LabeledMatrix, _even_half, _gram, _svd_schatten_norm,
+                       _trace_power, schatten_norm)
 from .symbols import DiscreteSymbol
 
 __all__ = [
@@ -36,6 +40,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = {"restarts": 10, "iterations": 200}
+# flags["line_search"]: candidates scored from formed matrices, candidates
+# scored from the Gram expansion, and line searches that found no rise
+LINE_SEARCH_COUNTS = ("direct", "expansion", "failed")
 
 
 @dataclass
@@ -97,10 +104,11 @@ def _amplified(table: np.ndarray, k: int) -> np.ndarray:
     return table if k == 1 else np.kron(table, np.ones((k, k)))
 
 
-def _norm_gradient(Y, p):
+def _norm_gradient(Y, p, gram=None):
     """Differential of ||Y||_p^p at a square Y = U S V*: p U S^(p-1) V*.
 
-    For even p = 2k this is p Y (Y* Y)^(k-1), formed by matrix products.
+    For even p = 2k this is p Y (Y* Y)^(k-1), formed by matrix products;
+    ``gram`` is Y* Y when the caller already holds it.
     """
     k = _even_half(p)
     if k is None:
@@ -108,7 +116,7 @@ def _norm_gradient(Y, p):
         return (U * (p * sig ** (p - 1.0))[None, : len(sig)]) @ Vh
     out = p * Y
     if k > 1:
-        G = Y.conj().T @ Y
+        G = Y.conj().T @ Y if gram is None else gram
         for _ in range(k - 1):
             out = out @ G
     return out
@@ -143,36 +151,100 @@ def _duality_map(table, X, p):
     return np.conj((U * (sig / sig[0]) ** (p - 1.0)) @ Vh)
 
 
+def _candidate(table, Xc, p, k):
+    """(ratio, X, m X, Gram of m X) at Xc / ||Xc||_p; ratio -inf at Xc = 0.
+
+    The Gram (Y* Y, None unless p = 2k) is what the ratio's trace came from.
+    """
+    nc = schatten_norm(Xc, p)
+    if not nc > 0.0:
+        return -math.inf, None, None, None
+    Xc = Xc / nc
+    Yc = table * Xc
+    if k is None:
+        return schatten_norm(Yc, p), Xc, Yc, None
+    gram = _gram(Yc)
+    return float(_trace_power(gram, k) ** (1.0 / p)), Xc, Yc, gram
+
+
+def _gram_line(table, X, Y, gram, g):
+    """Gram matrices of X + h g and of Y + h D, D = m g, as quadratics in h.
+
+    (A + hB)* (A + hB) = A* A + h (A* B + B* A) + h^2 B* B. Returns the
+    coefficient triples of both; ``gram`` is Y* Y, already held.
+    """
+    def quadratic(A, AA, B):
+        AB = A.conj().T @ B
+        return AA, AB + AB.conj().T, B.conj().T @ B
+
+    return quadratic(X, _gram(X), g), quadratic(Y, gram, table * g)
+
+
+def _line_norms(line, h, k):
+    """||X + h g||_p, ||m (X + h g)||_p and the Gram of the second, p = 2k.
+
+    Each is tr(G^k)^(1/p) of a Gram from ``_gram_line``: O(n^2) at p = 4 and
+    one matrix product at p = 6 or 8.
+    """
+    gx, gy = (c0 + h * c1 + (h * h) * c2 for c0, c1, c2 in line)
+    p = 2.0 * k
+    return (float(_trace_power(gx, k) ** (1.0 / p)),
+            float(_trace_power(gy, k) ** (1.0 / p)), gy)
+
+
 def _ascend(table, X0, p, iterations):
-    """Monotone projective ascent from one start; returns (value, X, steps)."""
+    """Monotone projective ascent from one start; returns (value, X, steps, counts).
+
+    Each step moves X (||X||_p = 1) along g = conj(m) * grad ||m X||_p^p to
+    X + h g, renormalized, with h = 1/2, 1/4, ... down to 1e-13 until the
+    ratio rises; the ascent ends when no h does or the gain is below 1e-9.
+    The h = 1/2 candidate is always formed and scored. At even p = 2k, when
+    it is rejected, the other halvings are scored from ``_gram_line``'s
+    expansion, and only the accepted candidate is formed; its Gram of m X
+    feeds the next gradient. Other p form and score every candidate.
+    ``counts`` holds the LINE_SEARCH_COUNTS of this ascent.
+    """
+    counts = dict.fromkeys(LINE_SEARCH_COUNTS, 0)
     nrm = schatten_norm(X0, p)
     if nrm == 0.0:
-        return 0.0, X0, 0
+        return 0.0, X0, 0, counts
     X = X0 / nrm
-    val = schatten_norm(table * X, p)
+    Y = table * X
+    val = schatten_norm(Y, p)
+    k = _even_half(p)
+    gram = None  # Y* Y at even p, once a step has formed it
     used = 0
     for _ in range(iterations):
-        grad = np.conj(table) * _norm_gradient(table * X, p)
+        if k is not None and gram is None:
+            gram = _gram(Y)
+        grad = np.conj(table) * _norm_gradient(Y, p, gram)
         step = 0.5
-        cand_val, cand_X = None, None
-        while step > 1e-13:
-            Xc = X + step * grad
-            nc = schatten_norm(Xc, p)
-            if nc > 0.0:
-                Xc = Xc / nc
-                vc = schatten_norm(table * Xc, p)
-                if vc > val:
-                    cand_val, cand_X = vc, Xc
-                    break
+        vc, Xc, Yc, gc = _candidate(table, X + step * grad, p, k)
+        counts["direct"] += 1
+        line = None if vc > val or k is None else _gram_line(table, X, Y, gram, grad)
+        while not vc > val:
             step *= 0.5
-        if cand_val is None:
+            if step <= 1e-13:
+                break
+            if line is None:
+                vc, Xc, Yc, gc = _candidate(table, X + step * grad, p, k)
+                counts["direct"] += 1
+            else:
+                nx, ny, gy = _line_norms(line, step, k)
+                counts["expansion"] += 1
+                vc = ny / nx if nx > 0.0 else -math.inf
+                if vc > val:
+                    Xc = (X + step * grad) / nx
+                    Yc, gc = table * Xc, gy / (nx * nx)
+        if not vc > val:
+            counts["failed"] += 1
             break
-        gain = (cand_val - val) / max(val, 1e-300)
-        val, X = cand_val, cand_X
+        gain = (vc - val) / max(val, 1e-300)
+        val, X, Y, gram = vc, Xc, Yc, gc
         used += 1
         if gain < 1e-9:
             break
-    return val, X, used
+    return val, X, used, counts
 
 
 def _unit_start(table):
@@ -188,7 +260,7 @@ def _random_start(shape, seed, r):
 
 
 def _search(table, p, restarts, iterations, seed, extra_starts):
-    """The best witness over all starts and the ascent steps they took."""
+    """The best witness over all starts, the ascent steps and line-search counts."""
     # The unit start is a critical point of the ratio: score it, never
     # ascend it. At p = 2 it attains the norm, sup|m|, so it runs alone.
     starts = [(_unit_start(table), 0)]
@@ -198,12 +270,15 @@ def _search(table, p, restarts, iterations, seed, extra_starts):
         starts += [(np.asarray(X, dtype=np.complex128), iterations)
                    for X in extra_starts]
     best_val, best_X, total = -math.inf, None, 0
+    counts = dict.fromkeys(LINE_SEARCH_COUNTS, 0)
     for X0, steps in starts:
-        val, X, used = _ascend(table, X0, p, steps)
+        val, X, used, line_search = _ascend(table, X0, p, steps)
         total += used
+        for key, n in line_search.items():
+            counts[key] += n
         if val > best_val:
             best_val, best_X = val, X
-    return best_X, total
+    return best_X, total, counts
 
 
 def _certify(table, window, p, restarts, iterations, seed, extra_starts,
@@ -214,26 +289,28 @@ def _certify(table, window, p, restarts, iterations, seed, extra_starts,
     otherwise the value is recomputed from the witness the search kept. For
     p < 2 the search runs at q = p/(p-1): the extra starts go in through the
     duality map at p and the best witness comes out through the map at q.
+    ``flags["line_search"]`` sums the searches' LINE_SEARCH_COUNTS.
     """
     if not np.abs(table).any():
         return EstimateResult(
             value=0.0, witness=LabeledMatrix.zeros(window, window), p=p,
             window=window, restarts=restarts, iterations=0, seed=seed,
-            flags={"zero_symbol": True, **flags},
+            flags={"zero_symbol": True, **flags,
+                   "line_search": dict.fromkeys(LINE_SEARCH_COUNTS, 0)},
         )
     if p < 2.0:
         q = _dual_exponent(p)
         extra_starts = [_duality_map(table, X, p) for X in extra_starts]
-        X, used = _search(table, q, restarts, iterations, seed, extra_starts)
+        X, used, counts = _search(table, q, restarts, iterations, seed, extra_starts)
         X = _duality_map(table, X, q)
         flags = {**flags, "search_p": q}
     else:
-        X, used = _search(table, p, restarts, iterations, seed, extra_starts)
+        X, used, counts = _search(table, p, restarts, iterations, seed, extra_starts)
     value = schatten_norm(table * X, p) / schatten_norm(X, p)
     return EstimateResult(
         value=float(value), witness=LabeledMatrix(window, window, X), p=p,
         window=window, restarts=restarts, iterations=used, seed=seed,
-        flags=flags,
+        flags={**flags, "line_search": counts},
     )
 
 
@@ -251,8 +328,10 @@ def norm_lower_bound(m: DiscreteSymbol, window: Box, p, budget=None,
     at q = p/(p-1), recorded as ``flags["search_p"]``, and ``iterations``
     counts steps taken at q; the best q-witness is mapped back to p by the
     duality map, which never lowers the ratio, and the value is computed at
-    p. ``_table`` is m on window x window when the caller has already built
-    it.
+    p. ``flags["line_search"]`` counts the candidates the line searches
+    scored from formed matrices and from the Gram expansion, and the line
+    searches that found no rise. ``_table`` is m on window x window when the
+    caller has already built it.
     """
     pf = float(p)
     if not (1.0 < pf < math.inf):
@@ -269,7 +348,8 @@ def cb_lower_bound(m: DiscreteSymbol, window: Box, p, k: int, budget=None,
 
     The symbol is held constant on k x k blocks (index = window point x
     block slot), so k = 1 reproduces norm_lower_bound exactly, and the true
-    amplified norm is nondecreasing in k.
+    amplified norm is nondecreasing in k. For k > 1, ``flags["line_search"]``
+    also counts the unamplified search that supplies the embedded start.
     """
     if int(k) < 1:
         raise ValueError("amplification k must be >= 1")
@@ -283,9 +363,13 @@ def cb_lower_bound(m: DiscreteSymbol, window: Box, p, k: int, budget=None,
     slot = np.zeros((k, k))
     slot[0, 0] = 1.0
     restarts, iterations = _budget(budget)
-    return _certify(_amplified(table, k), window.product(Box.interval(0, k)),
-                    base.p, restarts, iterations, seed,
-                    (np.kron(base.witness.data, slot),), {"k_amp": k})
+    res = _certify(_amplified(table, k), window.product(Box.interval(0, k)),
+                   base.p, restarts, iterations, seed,
+                   (np.kron(base.witness.data, slot),), {"k_amp": k})
+    # the line-search counts cover both searches; iterations only this one
+    for key, n in base.flags["line_search"].items():
+        res.flags["line_search"][key] += n
+    return res
 
 
 def _estimate_row(m: DiscreteSymbol, label: str, p, N: int, res: EstimateResult,

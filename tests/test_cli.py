@@ -186,6 +186,34 @@ class TestEstimate:
         assert row["iterations_budget"] == 6
         assert 0 < row["iterations_used"] <= 2 * 6
 
+    def test_line_search_counters_stay_in_the_header(self, tmp_path):
+        # the counters sum flags["line_search"] over the rows; the data
+        # section is exactly the rows, in JSON and in CSV
+        from schurkit import catalog, cb_lower_bound
+        from schurkit.cli import _estimate_csv, _jsonable
+        from schurkit.estimator import _estimate_row
+
+        args = ["estimate", "--catalog", "triangular", "--p", "4,3", "--n", "3",
+                "--restarts", "2", "--iters", "10", "--amp", "2"]
+        rows, sums = [], {}
+        for tok, p in (("4", 4.0), ("3", 3.0)):
+            res = cb_lower_bound(catalog("triangular"), Box.interval(-3, 3), p, 2,
+                                 budget={"restarts": 2, "iterations": 10})
+            rows.append(_estimate_row(catalog("triangular"), "", tok, 3, res, 10))
+            for key, n in res.flags["line_search"].items():
+                sums[f"line_search_{key}"] = sums.get(f"line_search_{key}", 0) + n
+        assert main(args + ["--out", str(tmp_path / "e.json")]) == 0
+        body = json.loads((tmp_path / "e.json").read_text())
+        assert body["header"]["counters"] == sums and sums["line_search_direct"] > 0
+        assert (json.dumps(body["data"], indent=2, sort_keys=True)
+                == json.dumps(_jsonable({"rows": rows}), indent=2, sort_keys=True))
+        assert main(args + ["--format", "csv", "--out", str(tmp_path / "e.csv")]) == 0
+        lines = (tmp_path / "e.csv").read_text().splitlines()
+        assert [ln for ln in lines if not ln.startswith("#")] == [
+            ",".join(str(c) for c in row) for row in _estimate_csv(rows)]
+        assert [ln for ln in lines if ln.startswith("# counters.")] == [
+            f"# counters.{k}={sums[k]}" for k in sorted(sums)]
+
     def test_negative_amplification_rejected(self, capsys):
         # every estimate goes through cb_lower_bound, which rejects k < 1
         # instead of reporting an unamplified row labelled k_amp = -1

@@ -418,7 +418,8 @@ class TestDualExponentSearch:
         k1 = cb_lower_bound(m, win, Fraction(4, 3), 1, **kw)
         k2 = cb_lower_bound(m, win, Fraction(4, 3), 2, **kw)
         assert k2.value >= k1.value - 1e-12
-        assert k2.flags == {"k_amp": 2, "search_p": 4.0}
+        assert k2.flags == {"k_amp": 2, "search_p": 4.0,
+                            "line_search": k2.flags["line_search"]}
         for res in (k1, k2):
             assert res.verify(m) == pytest.approx(res.value, rel=0, abs=1e-12)
 
@@ -493,3 +494,127 @@ class TestDualityMap:
             assert np.count_nonzero(np.abs(Y) > 1e-14 * np.abs(Y).max()) == 1
             i, j = np.argwhere(E)[0]
             assert abs(Y[i, j]) > 0.0
+
+
+def _formed_ascend(table, X0, p, iterations):
+    """The ascent with every candidate formed and scored by schatten_norm."""
+    X = X0 / schatten_norm(X0, p)
+    val = schatten_norm(table * X, p)
+    used = 0
+    for _ in range(iterations):
+        grad = np.conj(table) * _norm_gradient(table * X, p)
+        step, cand = 0.5, None
+        while step > 1e-13:
+            Xc = X + step * grad
+            nc = schatten_norm(Xc, p)
+            if nc > 0.0 and schatten_norm(table * (Xc / nc), p) > val:
+                cand = Xc / nc
+                break
+            step *= 0.5
+        if cand is None:
+            break
+        new = schatten_norm(table * cand, p)
+        gain = (new - val) / val
+        val, X, used = new, cand, used + 1
+        if gain < 1e-9:
+            break
+    return val, X, used
+
+
+def _count_norms(monkeypatch):
+    calls = []
+    norm = estimator.schatten_norm
+
+    def counted(A, p):
+        calls.append(p)
+        return norm(A, p)
+
+    monkeypatch.setattr(estimator, "schatten_norm", counted)
+    return calls
+
+
+class TestGramLineSearch:
+    """Even-p backtracking scores candidates from the Gram expansion."""
+
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    def test_expansion_matches_formed_norms(self, p):
+        rng = np.random.default_rng(61)
+        m = _random_complex(rng, (7, 7))
+        u = _random_complex(rng, (7, 2))
+        generic = _random_complex(rng, (7, 7))
+        deficient = u @ np.conj(u.T)
+        for X in (generic, deficient):
+            Y = m * X
+            for g in (_random_complex(rng, (7, 7)), np.zeros((7, 7), dtype=complex)):
+                line = estimator._gram_line(m, X, Y, schatten._gram(Y), g)
+                for h in (2.0 ** -2, 2.0 ** -10, 2.0 ** -40):
+                    nx, ny, gy = estimator._line_norms(line, h, p // 2)
+                    Z = X + h * g
+                    assert nx == pytest.approx(schatten_norm(Z, p), rel=1e-13, abs=0)
+                    assert ny == pytest.approx(schatten_norm(m * Z, p), rel=1e-13, abs=0)
+                    W = m * Z
+                    assert np.abs(gy - np.conj(W.T) @ W).max() <= 1e-13 * np.abs(gy).max()
+
+    def test_failed_line_search_forms_no_candidates(self, monkeypatch):
+        # a finished search's witness is a stalled start: its line search
+        # backtracks to the smallest steps, which the expansion scores with
+        # no schatten_norm call (formed candidates take two per halving)
+        m = catalog("lacunary_toeplitz", seed=0)
+        win = Box.interval(-16, 16)
+        table = m.values_on(win, win)
+        res = norm_lower_bound(m, win, 4.0, budget={"restarts": 3, "iterations": 100})
+        calls = _count_norms(monkeypatch)
+        _, _, used, counts = estimator._ascend(table, res.witness.data, 4.0, 1)
+        assert counts["direct"] == 1 and counts["expansion"] >= 20
+        assert counts["failed"] + used == 1
+        # the start's two norms and the h = 1/2 candidate's denominator;
+        # forming every candidate takes 88 calls here
+        assert len(calls) == 3
+
+    def test_unit_score_builds_nothing(self, monkeypatch):
+        m = catalog("lacunary_toeplitz", seed=0).values_on(Box.interval(-8, 8),
+                                                           Box.interval(-8, 8))
+        calls = _count_norms(monkeypatch)
+        for name in ("_gram", "_gram_line", "_norm_gradient"):
+            monkeypatch.setattr(estimator, name, None)
+        val, _, used, counts = estimator._ascend(m, estimator._unit_start(m), 4.0, 0)
+        assert len(calls) == 2 and used == 0
+        assert counts == {"direct": 0, "expansion": 0, "failed": 0}
+        assert val == pytest.approx(np.abs(m).max(), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("p", [3.0, 2.5])
+    def test_other_p_keeps_the_formed_loop(self, p):
+        rng = np.random.default_rng(62)
+        for m in _tables():
+            X0 = _random_complex(rng, m.shape)
+            val, X, used, counts = estimator._ascend(m, X0, p, 40)
+            want = _formed_ascend(m, X0, p, 40)
+            assert (val, used) == want[::2] and np.array_equal(X, want[1])
+            assert counts["expansion"] == 0 and counts["direct"] >= used
+
+    @pytest.mark.parametrize("p", [4.0, 6.0])
+    def test_even_p_matches_the_formed_loop(self, p):
+        rng = np.random.default_rng(63)
+        expanded = 0
+        for m in _tables():
+            for _ in range(2):
+                X0 = _random_complex(rng, m.shape)
+                val, _, used, counts = estimator._ascend(m, X0, p, 60)
+                want, _, want_used = _formed_ascend(m, X0, p, 60)
+                assert val == pytest.approx(want, rel=1e-12, abs=0)
+                assert abs(used - want_used) <= 2
+                expanded += counts["expansion"]
+        assert expanded > 0
+
+    def test_counts_reach_the_result(self):
+        m = catalog("triangular")
+        win = Box.interval(-4, 4)
+        kw = dict(budget={"restarts": 3, "iterations": 40}, seed=2)
+        k1 = cb_lower_bound(m, win, 4.0, 1, **kw)
+        k2 = cb_lower_bound(m, win, 4.0, 2, **kw)
+        ls1, ls2 = k1.flags["line_search"], k2.flags["line_search"]
+        assert set(ls1) == {"direct", "expansion", "failed"}
+        assert ls1["direct"] >= k1.iterations > 0
+        # the amplified counts include the unamplified search
+        assert all(ls2[key] >= ls1[key] for key in ls1)
+        assert norm_lower_bound(m, win, 2.0).flags["line_search"] == dict.fromkeys(ls1, 0)

@@ -13,7 +13,10 @@ and the change first in odd pairs, and one run goes at a time:
 Each run's full record is read back from ``<checkout>/.perfbench/``. The
 output holds the method, the environment, per side the median and quartiles
 of every end-to-end metric, the pairs each side wins, and the median time of
-every job kind.
+every job kind. After the pairs, each side runs every workload once more with
+``--trace 1`` at the first pair's seed, and the output lists each per-layer
+metric's parent and change values, so it shows in which layer a change in
+time or work lands.
 """
 
 from __future__ import annotations
@@ -31,17 +34,18 @@ HIGHER_IS_BETTER = {"jobs_per_s", "bound_gmean"}
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool,
+             trace: int = 0) -> dict:
     """One perfbench run in ``checkout``; returns the record it wrote."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     if smoke:
         cmd.append("--smoke")
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=max(600.0, 20.0 * seconds))
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} failed:\n{proc.stderr[-2000:]}")
-    path = checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
+    path = checkout / ".perfbench" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(path.read_text())
 
 
@@ -144,6 +148,15 @@ def main(argv=None):
                       + ", ".join(f"{k} {v:.6g}" for k, v in sorted(rec["end_to_end"].items())),
                       flush=True)
 
+    per_layer = {}
+    for w in WORKLOADS:
+        traced = {side: run_once(checkouts[side], w, seeds[0], args.seconds, args.smoke,
+                                 trace=1)["per_layer"]
+                  for side in SIDES}
+        per_layer[w] = {name: {side: traced[side].get(name) for side in SIDES}
+                        for name in sorted(set(traced["parent"]) | set(traced["change"]))}
+        print(f"traced {w}: {len(per_layer[w])} per-layer metrics", flush=True)
+
     summary, kind_medians = {}, {}
     for w in WORKLOADS:
         summary[w], kind_medians[w] = summarize(records[w], seeds, first)
@@ -167,11 +180,15 @@ def main(argv=None):
             "statistics": ("per side: median and quartiles (inclusive method) of the runs; "
                            "change_wins/losses count pairs where the change is "
                            "better/worse in the metric's direction"),
+            "per_layer": (f"after the pairs, one run per side and workload with --trace 1 "
+                          f"and seed {seeds[0]}, parent first; per_layer holds the "
+                          "per-layer metrics of those two runs"),
             "tool": "tools/bench_pairs.py",
         },
         "environment": environment(any_record),
         "workloads": summary,
         "job_kind_median_s": kind_medians,
+        "per_layer": per_layer,
     }
     path = args.out or Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(out, indent=1) + "\n")
