@@ -136,8 +136,7 @@ def _bases_array(base_range: Box, d: int) -> np.ndarray:
     return pts
 
 
-# Symbol pairs per run of bases: about 16 MB of complex values, the size of
-# the Schatten kernels' grid chunks.
+# Symbol pairs per run of bases: about 16 MB of complex values.
 _CHUNK_PAIRS = 1 << 20
 
 _ORIENTS = ("left", "right")

@@ -246,55 +246,110 @@ class QuadratureGrid:
     def size(self):
         return self.q**self.d
 
-    def indices(self):
-        grids = np.meshgrid(*([np.arange(self.q)] * self.d), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+    def indices(self, lo=0, hi=None):
+        """Integer coordinates of grid points lo..hi-1 in lexicographic order:
+        shape (hi - lo, d)."""
+        hi = self.size if hi is None else hi
+        return np.stack(np.unravel_index(np.arange(lo, hi), (self.q,) * self.d), axis=1)
 
     def points(self):
         return np.exp(2j * np.pi * self.indices() / self.q)
 
-    def phases(self, freqs):
-        """Array of z^n over the grid: shape (grid size, len(freqs))."""
+    def run_points(self, values_per_point, values_per_run):
+        """Grid points in a run of about ``values_per_run`` values: at least
+        one, at most the whole grid."""
+        return min(self.size, max(1, values_per_run // max(1, values_per_point)))
+
+    def phases(self, freqs, lo=0, hi=None):
+        """Array of z^n over grid points lo..hi-1: shape (hi - lo, len(freqs))."""
         freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, self.d)
-        return np.exp(2j * np.pi * (self.indices() @ freqs.T) / self.q)
+        return np.exp(2j * np.pi * (self.indices(lo, hi) @ freqs.T) / self.q)
 
     @classmethod
-    def default_for(cls, f, factor=4):
-        """Grid adapted to a polynomial's bandwidth: q = factor*maxfreq + 1."""
-        return cls(f.d, factor * max(1, f.max_freq()) + 1)
+    def default_for(cls, f, p=None):
+        """Grid adapted to a polynomial's bandwidth: q = factor*maxfreq + 1.
+
+        The factor is p at an even integer p, where ||f(z)||_p^p =
+        tr((f(z)* f(z))^(p/2)) is a trigonometric polynomial of degree at most
+        p*maxfreq per axis, so the grid average is exact. Every other p, and
+        p=None, takes factor 4.
+        """
+        even = p is not None and float(p) >= 2 and float(p) % 2 == 0
+        return cls(f.d, (int(p) if even else 4) * max(1, f.max_freq()) + 1)
 
 
-def _eval_on_grid(f, grid):
-    """Evaluate a matrix trig polynomial on all grid points: (G, R, C)."""
-    out = np.empty((grid.size, f.rows.npoints, f.cols.npoints), dtype=np.complex128)
-    start = 0
-    # each chunk's work set stays around 64 MB
-    for vals in f.grid_chunks(grid, 4 << 20):
-        out[start : start + len(vals)] = vals
-        start += len(vals)
-    return out
+# Matrix values per run of grid points in the torus norms: 2^14 complex values
+# (256 KB), so a run's values and Gram products stay in a core's L2 cache and
+# a walk's few buffers cost few page faults to set up.
+_GRID_VALUES = 1 << 14
+
+
+def _gram_runs(gs, grid, sides):
+    """Walk the members' grids together, in runs of about ``_GRID_VALUES``
+    values per member, and yield each run's Gram sums: {side: array}, with
+    sum_j g_j* g_j for "column" and sum_j g_j g_j* for "row", added in
+    member order.
+
+    The walks share one values buffer, advanced one member at a time, and
+    every run reuses the buffers of the first, so a walk allocates nothing
+    per run; each yielded array is overwritten by the next run. The adjoint
+    buffer has the layout np.conj(np.swapaxes(Y, 1, 2)) would allocate, so
+    the products make the same BLAS calls as on a fresh adjoint.
+    """
+    R, C = gs[0].rows.npoints, gs[0].cols.npoints
+    chunk = grid.run_points(R * C, _GRID_VALUES)
+    dims = {"column": C, "row": R}
+    vals_buf = np.empty((chunk, R * C), dtype=np.complex128)
+    adj = np.empty((chunk, R, C), dtype=np.complex128).swapaxes(1, 2)
+    sums = {s: np.empty((chunk, dims[s], dims[s]), dtype=np.complex128) for s in sides}
+    prods = {s: np.empty_like(a) for s, a in sums.items()} if len(gs) > 1 else {}
+    walks = [g.grid_chunks(grid, _GRID_VALUES, out=vals_buf) for g in gs]
+    for first in walks[0]:
+        n = len(first)
+        acc = {s: a[:n] for s, a in sums.items()}
+        for j, walk in enumerate(walks):
+            vals = first if j == 0 else next(walk)
+            vals_h = np.conj(np.swapaxes(vals, 1, 2), out=adj[:n])
+            for s, a in acc.items():
+                # the first member's product lands in the sum itself
+                prod = a if j == 0 else prods[s][:n]
+                if s == "column":
+                    np.matmul(vals_h, vals, out=prod)
+                else:
+                    np.matmul(vals, vals_h, out=prod)
+                if j:
+                    a += prod
+        yield acc
 
 
 def lp_sp_norm(f, p, grid=None):
     """Mixed L^p(torus; Schatten-p) norm of a matrix trig polynomial.
 
     Averages ||f(z)||_p^p over the grid and takes the p-th root; p = inf
-    takes the max of operator norms over the grid. Even p evaluates the grid
-    in chunks of about 16 MB and reduces each to its traces, so the values
-    at all grid points are never held at once.
+    takes the max of operator norms over the grid. The default grid is
+    ``QuadratureGrid.default_for(f, p)``, exact at even integer p. The grid
+    is walked in runs of about ``_GRID_VALUES`` matrix values, and each run
+    is reduced to its per-point traces (even p) or singular values as it is
+    evaluated; the mean is taken once over all points, so the result does
+    not depend on the run size.
     """
     p = float(p)
     if p < 1 and not math.isinf(p):
         raise ValueError("p >= 1 required")
     if grid is None:
-        grid = QuadratureGrid.default_for(f)
+        grid = QuadratureGrid.default_for(f, p)
     k = _even_half(p)
-    if k is not None:
-        total = sum(float(np.sum(_even_power_sum(vals, k)))
-                    for vals in f.grid_chunks(grid, 1 << 20))
-        return float((total / grid.size) ** (1.0 / p))
-    vals = _eval_on_grid(f, grid)
-    sv = _clip_singulars(np.linalg.svd(vals, compute_uv=False))
+    if k is not None and k > 1:
+        # the smaller Gram matrix, as _gram picks it
+        side = "column" if f.cols.npoints <= f.rows.npoints else "row"
+        power = [_trace_power(acc[side], k) for acc in _gram_runs([f], grid, (side,))]
+        return float(np.mean(np.concatenate(power)) ** (1.0 / p))
+    runs = f.grid_chunks(grid, _GRID_VALUES)
+    if k == 1:
+        power = np.concatenate([_even_power_sum(vals, 1) for vals in runs])
+        return float(np.mean(power) ** 0.5)
+    sv = _clip_singulars(np.concatenate(
+        [np.linalg.svd(vals, compute_uv=False) for vals in runs]))
     if math.isinf(p):
         return float(sv.max(initial=0.0))
     return float(np.mean(np.sum(sv**p, axis=1)) ** (1.0 / p))
@@ -304,7 +359,12 @@ def square_function_norm(gs, p, grid=None, side="column"):
     """Norm of the square function of a finite family of polynomials.
 
     ``side`` selects sum g_j(z)* g_j(z) (column), sum g_j(z) g_j(z)* (row),
-    or the max of both.  Requires 2 <= p < inf.
+    or the max of both.  Requires 2 <= p < inf. The default grid is
+    ``QuadratureGrid.default_for`` at the widest member's bandwidth. The
+    members' grid walks advance together in runs of about ``_GRID_VALUES``
+    matrix values per member; each run's Gram sums are reduced to per-point
+    values and the mean is taken once over all points, so the result does
+    not depend on the run size.
     """
     p = float(p)
     if p < 2 or math.isinf(p):
@@ -319,26 +379,20 @@ def square_function_norm(gs, p, grid=None, side="column"):
         if g.d != g0.d or g.rows != g0.rows or g.cols != g0.cols:
             raise ValueError("family members must share dimension and windows")
     if grid is None:
-        grid = QuadratureGrid(g0.d, 4 * max(1, max(g.max_freq() for g in gs)) + 1)
+        grid = QuadratureGrid.default_for(max(gs, key=lambda g: g.max_freq()), p)
     k = _even_half(p)
 
-    # each member is evaluated once and feeds every Gram sum asked for
-    dims = {"column": g0.cols.npoints, "row": g0.rows.npoints}
-    sums = {s: np.zeros((grid.size, dims[s], dims[s]), dtype=np.complex128)
-            for s in (("column", "row") if side == "max" else (side,))}
-    for g in gs:
-        vals = _eval_on_grid(g, grid)
-        vals_h = np.conj(np.swapaxes(vals, 1, 2))
-        if "column" in sums:
-            sums["column"] += vals_h @ vals
-        if "row" in sums:
-            sums["row"] += vals @ vals_h
-
-    def norm_of(acc):
+    def point_values(acc):
         if k is not None:
-            return float(np.mean(_trace_power(acc, k)) ** (1.0 / p))
+            return _trace_power(acc, k)
         acc = 0.5 * (acc + np.conj(np.swapaxes(acc, 1, 2)))
         w = np.clip(np.linalg.eigvalsh(acc), 0.0, None)
-        return float(np.mean(np.sum(w ** (p / 2.0), axis=1)) ** (1.0 / p))
+        return np.sum(w ** (p / 2.0), axis=1)
 
-    return max(norm_of(acc) for acc in sums.values())
+    # each member is evaluated once per run and feeds every Gram sum asked for
+    sides = ("column", "row") if side == "max" else (side,)
+    per_point = {s: [] for s in sides}
+    for acc in _gram_runs(gs, grid, sides):
+        for s, a in acc.items():
+            per_point[s].append(point_values(a))
+    return max(float(np.mean(np.concatenate(v)) ** (1.0 / p)) for v in per_point.values())

@@ -170,9 +170,14 @@ class MatTrigPoly:
     def __rmul__(self, scalar):
         return self._with_values(self._val * complex(scalar))
 
-    def grid_chunks(self, grid: QuadratureGrid, values_per_chunk: int):
+    def grid_chunks(self, grid: QuadratureGrid, values_per_chunk: int, out=None):
         """Values on consecutive runs of grid points: (chunk, R, C) arrays of
-        about ``values_per_chunk`` values each.
+        about ``values_per_chunk`` values each, chunk =
+        ``grid.run_points(R * C, values_per_chunk)``. Each run computes its
+        own phases z^n and is written into one buffer, ``out`` (shape
+        (chunk, R * C)) when given, so walks advanced in turn can share it.
+        Memory stays bounded by the run, and each yielded array is
+        overwritten by the next run: use or copy it before advancing.
 
         The entries are dealt into layers, layer k holding the k-th entry at
         every matrix position, so each position adds its entries in list
@@ -193,18 +198,23 @@ class MatTrigPoly:
         vl = np.zeros(fl.shape, dtype=np.complex128)
         fl[rank, pos] = self._fi[order]
         vl[rank, pos] = self._val[order]
-        phases = grid.phases(np.vstack([self._sup, np.zeros((1, self.d), dtype=np.int64)]))
+        freqs = np.vstack([self._sup, np.zeros((1, self.d), dtype=np.int64)])
         g = grid.size
-        chunk = min(g, max(1, values_per_chunk // max(1, R * C)))
+        chunk = grid.run_points(R * C, values_per_chunk)
+        if out is None:
+            out = np.empty((chunk, R * C), dtype=np.complex128)
+        elif out.shape != (chunk, R * C):
+            raise ValueError(f"buffer shape {out.shape} is not {(chunk, R * C)}")
+        term_buf = np.empty_like(out) if len(fl) > 1 else None
         for lo in range(0, g, chunk):
-            ph = phases[lo : lo + chunk]
-            out = np.take(ph, fl[0], axis=1)
-            out *= vl[0]
+            ph = grid.phases(freqs, lo, min(g, lo + chunk))
+            vals = np.take(ph, fl[0], axis=1, out=out[: len(ph)])
+            vals *= vl[0]
             for f_k, v_k in zip(fl[1:], vl[1:]):
-                term = np.take(ph, f_k, axis=1)
+                term = np.take(ph, f_k, axis=1, out=term_buf[: len(ph)])
                 term *= v_k
-                out += term
-            yield out.reshape(len(ph), R, C)
+                vals += term
+            yield vals.reshape(len(ph), R, C)
 
     def max_abs(self) -> float:
         return float(np.abs(self._val).max(initial=0.0))
@@ -620,14 +630,15 @@ def lp_experiment(f: MatTrigPoly, p: float, grid: QuadratureGrid | None = None,
     Records norm / square-function for the dyadic block projections, the
     cutoff square function / norm, and optionally the same for a supplied
     family of frequency rectangles. Ratios are reported against the shape
-    p^2/(p-1); nothing here passes or fails.
+    p^2/(p-1); nothing here passes or fails. The default grid is
+    ``QuadratureGrid.default_for(f, p)``, exact at even integer p.
     """
     if p < 2:
         raise ValueError("square-function ratios are computed for p >= 2 only")
     if math.isinf(p):
         raise ValueError("square-function ratios need finite p")
     if grid is None:
-        grid = QuadratureGrid.default_for(f)
+        grid = QuadratureGrid.default_for(f, p)
     levels = _levels_for(f)
 
     # Norm through the same evaluation path as the square functions, so a

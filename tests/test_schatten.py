@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,11 +20,16 @@ from schurkit import (
 )
 from schurkit.schatten import (
     EVEN_P_MAX,
-    _eval_on_grid,
     _even_power_sum,
     _svd_schatten_norm,
     _trace_power,
 )
+
+
+def _grid_values(f, grid):
+    """f at every grid point, (G, R, C): its grid walk concatenated (each run
+    is copied, since the walk reuses its buffer)."""
+    return np.concatenate([vals.copy() for vals in f.grid_chunks(grid, 1 << 20)])
 
 
 def _random(rows, cols, rng):
@@ -271,7 +277,7 @@ class TestEvenPKernel:
         grid = QuadratureGrid(1, 250)
         sizes = [len(c) for c in f.grid_chunks(grid, 1 << 20)]
         assert sizes == [104, 104, 42]
-        sv = np.linalg.svd(_eval_on_grid(f, grid), compute_uv=False)
+        sv = np.linalg.svd(_grid_values(f, grid), compute_uv=False)
         for p in (2, 4, 6, 8):
             want = float(np.mean(np.sum(sv**p, axis=1)) ** (1.0 / p))
             got = lp_sp_norm(f, p, grid=grid)
@@ -283,7 +289,7 @@ class TestEvenPKernel:
         w = Box.interval(0, 5)
         f = pi_embed(_random(w, w, rng))
         grid = QuadratureGrid.default_for(f)
-        sv = np.linalg.svd(_eval_on_grid(f, grid), compute_uv=False)
+        sv = np.linalg.svd(_grid_values(f, grid), compute_uv=False)
         for p in (2, 4, 6, 8):
             want = float(np.mean(np.sum(sv**p, axis=1)) ** (1.0 / p))
             got = square_function_norm([f], p, side="column")
@@ -296,7 +302,7 @@ def _two_pass_square_function(gs, p, grid, side):
     def one_side(which):
         acc = 0.0
         for g in gs:
-            vals = _eval_on_grid(g, grid)
+            vals = _grid_values(g, grid)
             if which == "column":
                 acc = acc + np.einsum("gri,grj->gij", vals.conj(), vals)
             else:
@@ -309,17 +315,15 @@ def _two_pass_square_function(gs, p, grid, side):
 
 
 class TestSquareFunctionOnePass:
-    def _count_evaluations(self, monkeypatch):
-        import schurkit.schatten as sch
-
+    def _count_walks(self, monkeypatch):
         calls = []
-        plain = sch._eval_on_grid
+        plain = MatTrigPoly.grid_chunks
 
-        def counted(f, grid):
+        def counted(f, *args, **kwargs):
             calls.append(f)
-            return plain(f, grid)
+            return plain(f, *args, **kwargs)
 
-        monkeypatch.setattr(sch, "_eval_on_grid", counted)
+        monkeypatch.setattr(MatTrigPoly, "grid_chunks", counted)
         return calls
 
     def test_each_member_evaluated_once(self, monkeypatch):
@@ -330,7 +334,7 @@ class TestSquareFunctionOnePass:
         grid = QuadratureGrid.default_for(f)
         wants = {(p, side): _two_pass_square_function(members, p, grid, side)
                  for p in (2, 3, 4, 6) for side in ("column", "row", "max")}
-        calls = self._count_evaluations(monkeypatch)
+        calls = self._count_walks(monkeypatch)
         for (p, side), want in wants.items():
             calls.clear()
             got = square_function_norm(members, p, grid=grid, side=side)
@@ -338,9 +342,108 @@ class TestSquareFunctionOnePass:
             assert abs(got - want) <= 1e-13 * want, (p, side, got, want)
 
     def test_lp_experiment_evaluation_count(self, monkeypatch):
-        # the norm, four block projections and four cutoffs of an 8 x 8 image
+        # the norm, four block projections and four cutoffs of an 8 x 8
+        # image, and lp_sp_norm's own walk for norm_direct
         f = pi_embed(_random(Box.interval(0, 8), Box.interval(0, 8),
                              np.random.default_rng(28)))
-        calls = self._count_evaluations(monkeypatch)
+        calls = self._count_walks(monkeypatch)
         lp_experiment(f, 4)
-        assert len(calls) == 9
+        assert len(calls) == 10
+
+
+def _full_grid_square_function(gs, p, grid, side):
+    """Every member's values on the whole grid at once, Gram sums in member
+    order, one reduction: the formula the run-wise walk reproduces bit for bit."""
+    vals = [_grid_values(g, grid) for g in gs]
+    half = float(p) / 2.0
+
+    def norm_of(acc):
+        if half.is_integer():
+            return float(np.mean(_trace_power(acc, int(half))) ** (1.0 / p))
+        acc = 0.5 * (acc + np.conj(np.swapaxes(acc, 1, 2)))
+        w = np.clip(np.linalg.eigvalsh(acc), 0.0, None)
+        return float(np.mean(np.sum(w ** half, axis=1)) ** (1.0 / p))
+
+    norms = []
+    for which in (("column", "row") if side == "max" else (side,)):
+        acc = np.zeros(1)
+        for v in vals:
+            v_h = np.conj(np.swapaxes(v, 1, 2))
+            acc = acc + (v_h @ v if which == "column" else v @ v_h)
+        norms.append(norm_of(acc))
+    return max(norms)
+
+
+def _tracemalloc_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridRuns:
+    # 4 x 3 values per grid point: runs of one point, of three points, and
+    # the whole grid in one run
+    RUN_SIZES = (1, 40, 1 << 40)
+    SIDES = ("column", "row", "max")
+
+    def _family(self):
+        rng = np.random.default_rng(29)
+        w, v = Box.interval(0, 4), Box.interval(-1, 2)
+        f = MatTrigPoly(1, {(n,): _random(w, v, rng) for n in (-5, -1, 0, 2, 3, 6)})
+        return f, [freq_project(f, DyadicIndex(j, 1)) for j in range(4)]
+
+    def test_results_do_not_depend_on_run_size(self, monkeypatch):
+        import schurkit.schatten as sch
+
+        f, members = self._family()
+        sq_cases = [(p, side) for p in (2, 3, 4, 6) for side in self.SIDES]
+
+        def values():
+            lp = [lp_sp_norm(f, p) for p in (1.5, 2, 3, 4, 6, math.inf)]
+            sq = [square_function_norm(members, p, side=side) for p, side in sq_cases]
+            return lp, sq
+
+        results = []
+        for size in self.RUN_SIZES:
+            monkeypatch.setattr(sch, "_GRID_VALUES", size)
+            results.append(values())
+        assert all(r == results[0] for r in results[1:]), results
+        for (p, side), got in zip(sq_cases, results[0][1]):
+            want = _full_grid_square_function(
+                members, p, QuadratureGrid.default_for(f, p), side)
+            assert got == want, (p, side, got, want)
+
+    def test_walk_memory_is_bounded_by_the_run(self):
+        # the whole grid of values held at once took 49 MiB (n = 96) and
+        # 96 MiB (n = 64, every member of lp_experiment)
+        rng = np.random.default_rng(30)
+        f96 = pi_embed(_random(Box.interval(-48, 48), Box.interval(-48, 48), rng))
+        assert _tracemalloc_peak(lp_sp_norm, f96, 4) < 8 << 20
+        f64 = pi_embed(_random(Box.interval(-32, 32), Box.interval(-32, 32), rng))
+        assert _tracemalloc_peak(lp_experiment, f64, 4) < 32 << 20
+
+
+class TestExactEvenGrid:
+    # random 6 x 6 coefficients at frequencies -D..D, not a pi-image: the
+    # factor-4 grid was off by about 1e-3 at p = 6 and 8
+    TOL = 1e-12
+
+    def test_default_grid_is_exact_at_even_p(self):
+        w = Box.interval(0, 6)
+        for D in (2, 5):
+            rng = np.random.default_rng(31 + D)
+            f = MatTrigPoly(1, {(n,): _random(w, w, rng) for n in range(-D, D + 1)})
+            members = [freq_project(f, DyadicIndex(j, 1)) for j in range(4)]
+            assert QuadratureGrid.default_for(f, 4) == QuadratureGrid.default_for(f)
+            for p in (6, 8):
+                assert QuadratureGrid.default_for(f, p).q == p * D + 1
+                fine = QuadratureGrid(1, 8 * p * D + 1)
+                want = lp_sp_norm(f, p, grid=fine)
+                for got in (lp_sp_norm(f, p), lp_experiment(f, p).norm):
+                    assert abs(got - want) <= self.TOL * want, (D, p, got, want)
+                want = square_function_norm(members, p, grid=fine, side="max")
+                got = square_function_norm(members, p, side="max")
+                assert abs(got - want) <= self.TOL * want, (D, p, got, want)

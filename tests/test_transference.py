@@ -27,8 +27,14 @@ from schurkit import (
     summation_by_parts_1d,
     summation_by_parts_2d,
 )
-from schurkit.schatten import QuadratureGrid, _eval_on_grid
+from schurkit.schatten import QuadratureGrid
 from schurkit.transference import _cutoff_factor, _diagonals, _sum_polys, _times
+
+
+def _grid_values(f, grid):
+    """f at every grid point, (G, R, C): its grid walk concatenated (each run
+    is copied, since the walk reuses its buffer)."""
+    return np.concatenate([vals.copy() for vals in f.grid_chunks(grid, 1 << 20)])
 
 
 def _random(window, rng):
@@ -206,7 +212,7 @@ class TestEntryStorage:
         rng = np.random.default_rng(66 + d)
         ref, f = _ref_random(d, rows, cols, rng, 8)
         grid = QuadratureGrid(d, 7)
-        vals = _eval_on_grid(f, grid)
+        vals = _grid_values(f, grid)
         for z, got in zip(grid.points(), vals):
             want = sum(A * np.prod(z ** np.asarray(n)) for n, A in ref.items())
             assert np.allclose(got, want, rtol=0, atol=1e-12)
@@ -254,7 +260,7 @@ class TestEmbedding:
         A, B = _random(w, rng), _random(w, rng)
         # pi(A)(z) pi(B)(z) = pi(AB)(z) at every torus point z
         grid = QuadratureGrid(2, 5)
-        vals = [_eval_on_grid(pi_embed(M), grid) for M in (A, B, A @ B)]
+        vals = [_grid_values(pi_embed(M), grid) for M in (A, B, A @ B)]
         gap = np.abs(vals[0] @ vals[1] - vals[2]).max()
         assert gap <= 1e-12 * max(1.0, np.abs(vals[2]).max())
 

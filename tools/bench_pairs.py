@@ -12,8 +12,9 @@ and the change first in odd pairs, and one run goes at a time:
 
 Each run's full record is read back from ``<checkout>/.perfbench/``. The
 output holds the method, the environment, per side the median and quartiles
-of every end-to-end metric, the pairs each side wins, and the median time of
-every job kind. After the pairs, each side runs every workload once more with
+of every end-to-end metric, the pairs each side wins, the median and quartiles
+of the per-pair ratio change/parent (which host speed drifting between
+sessions moves less than the medians), and the median time of every job kind. After the pairs, each side runs every workload once more with
 ``--trace 1`` at the first pair's seed, and the output lists each per-layer
 metric's parent and change values, so it shows in which layer a change in
 time or work lands.
@@ -72,6 +73,14 @@ def metric_summary(name, runs):
     out["change_wins"] = sum(d > 0 for d in diffs)
     out["change_losses"] = sum(d < 0 for d in diffs)
     out["parent_iqr"] = round(out["parent"]["q3"] - out["parent"]["q1"], 6)
+    # host speed drifts between sessions; a pair's two runs share the drift
+    ratios = [c / p for p, c in zip(runs["parent"], runs["change"]) if p]
+    if ratios:
+        q1, q3 = quartiles(ratios)
+        out["pair_ratio"] = {"median": round(statistics.median(ratios), 4),
+                             "q1": round(q1, 4), "q3": round(q3, 4)}
+    else:
+        out["pair_ratio"] = None
     for side in SIDES:
         out[f"{side}_runs"] = [round(v, 6) for v in runs[side]]
     return out
@@ -179,7 +188,9 @@ def main(argv=None):
                       f"src/; commits: parent {commits['parent']}, change {commits['change']}"),
             "statistics": ("per side: median and quartiles (inclusive method) of the runs; "
                            "change_wins/losses count pairs where the change is "
-                           "better/worse in the metric's direction"),
+                           "better/worse in the metric's direction; pair_ratio is the "
+                           "median and quartiles of change/parent over the pairs "
+                           "(pairs with a zero parent value left out)"),
             "per_layer": (f"after the pairs, one run per side and workload with --trace 1 "
                           f"and seed {seeds[0]}, parent first; per_layer holds the "
                           "per-layer metrics of those two runs"),
@@ -194,9 +205,12 @@ def main(argv=None):
     path.write_text(json.dumps(out, indent=1) + "\n")
     for w in WORKLOADS:
         for name, m in summary[w]["metrics"].items():
+            ratio = m["pair_ratio"]
+            ratio = (f"pair ratio {ratio['median']:.4g} [{ratio['q1']:.4g}, {ratio['q3']:.4g}]"
+                     if ratio else "pair ratio -")
             print(f"{w:10s} {name:12s} parent {m['parent']['median']:<10.6g} "
                   f"change {m['change']['median']:<10.6g} "
-                  f"wins {m['change_wins']}/{pairs} losses {m['change_losses']}")
+                  f"wins {m['change_wins']}/{pairs} losses {m['change_losses']} {ratio}")
     print(f"wrote {path}")
     return 0
 
