@@ -229,7 +229,7 @@ def cmd_check(args) -> int:
             report = check_dd(sym, d, args.kmax or 4, base)
             headline = {"C1": report.c1, "C": report.c2}
     config = _run_config(args, "check", label)
-    data = json.loads(report.to_json())
+    data = report.as_dict()
     data["headline"] = headline
     _emit(args, config, data, report.csv_rows())
     values = [v for v in headline.values() if v is not None]
@@ -314,12 +314,12 @@ def cmd_verify(args) -> int:
             )
 
         dd = int(rng.integers(1, 4))
-        cube = Box.cube(0, 4, dd)
-        vals = rng.standard_normal(cube.npoints) + 1j * rng.standard_normal(cube.npoints)
+        # values on the cube [0, 4)^dd, indexed by the point
+        shape = (4,) * dd
+        table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        def phi(pt, _c=cube, _v=vals):
-            idx, _ = _c.index_array(np.asarray([pt], dtype=np.int64))
-            return _v[int(idx[0])]
+        def phi(pt, _t=table):
+            return _t[pt]
 
         target = tuple(int(v) for v in rng.integers(0, 3, size=dd))
         got = fundamental_theorem_expand(phi, (0,) * dd, (4,) * dd, target)
@@ -443,13 +443,13 @@ def cmd_discretize(args) -> int:
     base = Box.interval(-2, 2)
     disc = check_1d(mk, nmax, base)
 
+    table = mk.values_on(window, window)
     spec_obj = {
         "kind": "dense",
         "d": 1,
         "rows": [[int(window.los[0]), int(window.his[0])]],
         "cols": [[int(window.los[0]), int(window.his[0])]],
-        "entries": [[[float(z.real), float(z.imag)] for z in row]
-                    for row in mk.values_on(window, window)],
+        "entries": np.stack([table.real, table.imag], -1).tolist(),
         "name": mk.name,
     }
     out_path = Path(args.out)
@@ -460,7 +460,7 @@ def cmd_discretize(args) -> int:
         "scale": k,
         "window": [int(window.los[0]), int(window.his[0])],
         "continuous_A": cont.a_const,
-        "discrete": json.loads(disc.to_json()),
+        "discrete": disc.as_dict(),
         "within_block_sup": disc.within_block_sup,
         "transfer_margin": cont.a_const + tol - disc.within_block_sup,
         "symbol_file": str(symbol_path),

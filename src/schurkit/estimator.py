@@ -3,12 +3,13 @@
 The search maximizes the ratio ||entrywise product||_p / ||A||_p over
 matrices on a finite window. The matrix unit at the largest |symbol| entry
 is scored without ascent, since it is a critical point of the ratio (and at
-p = 2 it attains the norm, so no other start runs). Seeded random restarts
-and warm starts ascend along the singular-value differential of the
-p-norm, with renormalization each step and backtracking. At even p = 2k the
-Gram matrix Y* Y of the accepted Y = m X feeds the next gradient, and a
-rejected first step is backtracked on the Gram expansion along the line,
-tr((A + hB + h^2 C)^k), so a halving forms no candidate matrix. For p < 2
+p = 2, or on a rank-one table, it attains the norm, so no other start runs).
+Seeded random restarts and warm starts ascend along the singular-value
+differential of the p-norm, with renormalization each step and
+backtracking. At even p = 2k the Gram matrix Y* Y of the accepted Y = m X
+feeds the next gradient, and a rejected first step is backtracked on the
+trace polynomial of the line, tr((A + hB + h^2 C)^k), whose coefficients
+are formed once, so a halving costs O(1) and forms no matrix. For p < 2
 the search runs at the dual exponent q = p/(p-1): the multiplier is
 self-adjoint under (A, B) -> tr(A B^T), so its S_p and S_q norms agree, and
 at even q every ascent step takes matrix products instead of SVDs. The
@@ -28,7 +29,7 @@ import numpy as np
 
 from .lattice import Box
 from .schatten import (LabeledMatrix, _even_half, _gram, _svd_schatten_norm,
-                       _trace_power, schatten_norm)
+                       _trace_dot, _trace_power, schatten_norm)
 from .symbols import DiscreteSymbol
 
 __all__ = [
@@ -167,29 +168,74 @@ def _candidate(table, Xc, p, k):
     return float(_trace_power(gram, k) ** (1.0 / p)), Xc, Yc, gram
 
 
-def _gram_line(table, X, Y, gram, g):
-    """Gram matrices of X + h g and of Y + h D, D = m g, as quadratics in h.
+def _poly_mul(A, B):
+    """Coefficients of A(h) B(h) for matrix polynomials, lowest degree first.
 
-    (A + hB)* (A + hB) = A* A + h (A* B + B* A) + h^2 B* B. Returns the
-    coefficient triples of both; ``gram`` is Y* Y, already held.
+    A square (B is A) of Hermitian coefficients takes one product per pair
+    i <= j, since a_j a_i is the adjoint of a_i a_j.
+    """
+    out = [0.0] * (len(A) + len(B) - 1)
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            if B is A and j < i:
+                continue
+            ab = a @ b
+            if B is A and j > i:
+                ab = ab + ab.conj().T
+            out[i + j] = out[i + j] + ab
+    return out
+
+
+def _trace_poly(coeffs, k):
+    """Coefficients, highest degree first, of tr(G(h)^k) for the Hermitian
+    G(h) = sum_i h^i coeffs[i].
+
+    As in ``_trace_power``, G^k is split as G^a G^b with a = k // 2 and
+    b = k - a; the coefficients of both powers are Hermitian, and the trace
+    of each pair of them is a ``_trace_dot``.
+    """
+    if k == 1:
+        return [float(np.trace(c).real) for c in reversed(coeffs)]
+    half = coeffs
+    for _ in range(k // 2 - 1):
+        half = _poly_mul(half, coeffs)
+    other = _poly_mul(half, coeffs) if k % 2 else half
+    out = [0.0] * (len(half) + len(other) - 1)
+    for i, a in enumerate(half):
+        for j, b in enumerate(other):
+            out[i + j] += float(_trace_dot(a, b))
+    return out[::-1]
+
+
+def _gram_line(table, X, Y, gram, g, k):
+    """The line X + h g through its Gram expansion, p = 2k.
+
+    (A + hB)* (A + hB) = A* A + h (A* B + B* A) + h^2 B* B, for A = X, B = g
+    and for A = Y, B = D = m g; ``gram`` is Y* Y, already held. Returns the
+    trace polynomials tr(G(h)^k) of both Grams (``_trace_poly``) and the
+    coefficient triple of the second.
     """
     def quadratic(A, AA, B):
         AB = A.conj().T @ B
         return AA, AB + AB.conj().T, B.conj().T @ B
 
-    return quadratic(X, _gram(X), g), quadratic(Y, gram, table * g)
+    gx, gy = quadratic(X, _gram(X), g), quadratic(Y, gram, table * g)
+    return _trace_poly(gx, k), _trace_poly(gy, k), gy
 
 
-def _line_norms(line, h, k):
-    """||X + h g||_p, ||m (X + h g)||_p and the Gram of the second, p = 2k.
+def _line_norms(line, h, p):
+    """||X + h g||_p and ||m (X + h g)||_p from ``_gram_line``'s polynomials.
 
-    Each is tr(G^k)^(1/p) of a Gram from ``_gram_line``: O(n^2) at p = 4 and
-    one matrix product at p = 6 or 8.
+    Each is the polynomial's value at h by Horner's rule, clamped at 0 (the
+    trace is nonnegative, its expansion can round below), to the power 1/p.
     """
-    gx, gy = (c0 + h * c1 + (h * h) * c2 for c0, c1, c2 in line)
-    p = 2.0 * k
-    return (float(_trace_power(gx, k) ** (1.0 / p)),
-            float(_trace_power(gy, k) ** (1.0 / p)), gy)
+    def power(coeffs):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * h + c
+        return max(acc, 0.0) ** (1.0 / p)
+
+    return power(line[0]), power(line[1])
 
 
 def _ascend(table, X0, p, iterations):
@@ -200,8 +246,9 @@ def _ascend(table, X0, p, iterations):
     ratio rises; the ascent ends when no h does or the gain is below 1e-9.
     The h = 1/2 candidate is always formed and scored. At even p = 2k, when
     it is rejected, the other halvings are scored from ``_gram_line``'s
-    expansion, and only the accepted candidate is formed; its Gram of m X
-    feeds the next gradient. Other p form and score every candidate.
+    trace polynomials, and only the accepted candidate is formed, with its
+    Gram of m X assembled from the coefficient triple; that Gram feeds the
+    next gradient. Other p form and score every candidate.
     ``counts`` holds the LINE_SEARCH_COUNTS of this ascent.
     """
     counts = dict.fromkeys(LINE_SEARCH_COUNTS, 0)
@@ -221,7 +268,7 @@ def _ascend(table, X0, p, iterations):
         step = 0.5
         vc, Xc, Yc, gc = _candidate(table, X + step * grad, p, k)
         counts["direct"] += 1
-        line = None if vc > val or k is None else _gram_line(table, X, Y, gram, grad)
+        line = None if vc > val or k is None else _gram_line(table, X, Y, gram, grad, k)
         while not vc > val:
             step *= 0.5
             if step <= 1e-13:
@@ -230,12 +277,13 @@ def _ascend(table, X0, p, iterations):
                 vc, Xc, Yc, gc = _candidate(table, X + step * grad, p, k)
                 counts["direct"] += 1
             else:
-                nx, ny, gy = _line_norms(line, step, k)
+                nx, ny = _line_norms(line, step, p)
                 counts["expansion"] += 1
                 vc = ny / nx if nx > 0.0 else -math.inf
                 if vc > val:
+                    c0, c1, c2 = line[2]
                     Xc = (X + step * grad) / nx
-                    Yc, gc = table * Xc, gy / (nx * nx)
+                    Yc, gc = table * Xc, (c0 + step * c1 + (step * step) * c2) / (nx * nx)
         if not vc > val:
             counts["failed"] += 1
             break
@@ -247,11 +295,31 @@ def _ascend(table, X0, p, iterations):
     return val, X, used, counts
 
 
+def _pivot(table):
+    """(i, j) of the earliest largest |m| entry."""
+    return np.unravel_index(int(np.argmax(np.abs(table))), table.shape)
+
+
 def _unit_start(table):
-    i, j = np.unravel_index(int(np.argmax(np.abs(table))), table.shape)
     X = np.zeros_like(table)
-    X[i, j] = 1.0
+    X[_pivot(table)] = 1.0
     return X
+
+
+def _is_rank_one(table):
+    """Whether m - m[:, j] m[i, :] / m[i, j] vanishes to 1e-12 |m[i, j]| at
+    the pivot (i, j).
+
+    A rank-one m = u v^T acts as A -> D_u A D_v, so its norm is sup|m| at
+    every p (Bennett 1977), which the unit start attains. Factoring the
+    residual R through the identity bounds ||M_R|| by sqrt(n) max|R|, so
+    the starts this skips could raise the bound by at most 1e-12 sqrt(n)
+    relative, 1.6e-11 at n = 256, well under the ascent's own 1e-9 stop.
+    """
+    i, j = _pivot(table)
+    pivot = table[i, j]
+    residual = table - np.outer(table[:, j], table[i, :] / pivot)
+    return bool(np.abs(residual).max() <= 1e-12 * abs(pivot))
 
 
 def _random_start(shape, seed, r):
@@ -285,11 +353,13 @@ def _certify(table, window, p, restarts, iterations, seed, extra_starts,
              flags) -> EstimateResult:
     """Search the table on window x window and certify the best witness.
 
-    A table with no nonzero entry gives the value 0, flagged ``zero_symbol``;
-    otherwise the value is recomputed from the witness the search kept. For
-    p < 2 the search runs at q = p/(p-1): the extra starts go in through the
-    duality map at p and the best witness comes out through the map at q.
-    ``flags["line_search"]`` sums the searches' LINE_SEARCH_COUNTS.
+    A table with no nonzero entry gives the value 0, flagged ``zero_symbol``.
+    A rank-one table (``_is_rank_one``) runs the unit start alone, flagged
+    ``rank_one``: it attains the norm. Otherwise the value is recomputed
+    from the witness the search kept. For p < 2 the search runs at
+    q = p/(p-1): the extra starts go in through the duality map at p and the
+    best witness comes out through the map at q. ``flags["line_search"]``
+    sums the searches' LINE_SEARCH_COUNTS.
     """
     if not np.abs(table).any():
         return EstimateResult(
@@ -298,14 +368,17 @@ def _certify(table, window, p, restarts, iterations, seed, extra_starts,
             flags={"zero_symbol": True, **flags,
                    "line_search": dict.fromkeys(LINE_SEARCH_COUNTS, 0)},
         )
+    starts = restarts
+    if _is_rank_one(table):
+        starts, extra_starts, flags = 1, (), {**flags, "rank_one": True}
     if p < 2.0:
         q = _dual_exponent(p)
         extra_starts = [_duality_map(table, X, p) for X in extra_starts]
-        X, used, counts = _search(table, q, restarts, iterations, seed, extra_starts)
+        X, used, counts = _search(table, q, starts, iterations, seed, extra_starts)
         X = _duality_map(table, X, q)
         flags = {**flags, "search_p": q}
     else:
-        X, used, counts = _search(table, p, restarts, iterations, seed, extra_starts)
+        X, used, counts = _search(table, p, starts, iterations, seed, extra_starts)
     value = schatten_norm(table * X, p) / schatten_norm(X, p)
     return EstimateResult(
         value=float(value), witness=LabeledMatrix(window, window, X), p=p,
@@ -321,6 +394,8 @@ def norm_lower_bound(m: DiscreteSymbol, window: Box, p, budget=None,
     Start #0 is the matrix unit at the largest |symbol| entry. It is a
     critical point of the ratio, so it is scored without ascent steps, and
     it already attains the p=2 optimum, so at p = 2 it is the only start.
+    It attains the norm at every p on a rank-one table, which it then also
+    searches alone, flagged ``flags["rank_one"]``.
     Further starts are seeded complex Gaussians, ascended within the step
     budget; ``iterations`` counts only their steps. The reduction over
     restarts keeps the earliest maximizer, so results are reproducible

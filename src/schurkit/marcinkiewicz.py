@@ -61,7 +61,8 @@ class ConditionReport:
     flags: dict = field(default_factory=dict)
     truncation: dict = field(default_factory=dict)
 
-    def to_json(self, indent: int = 2) -> str:
+    def as_dict(self) -> dict:
+        """The report as plain Python values: what ``to_json`` encodes."""
         def clean(v):
             if isinstance(v, (np.integer,)):
                 return int(v)
@@ -87,7 +88,10 @@ class ConditionReport:
             "table": self.table,
             "within_table": self.within_table,
         }
-        return json.dumps(clean(payload), indent=indent, sort_keys=True)
+        return clean(payload)
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
     def csv_rows(self):
         """Rows [section, level, direction, base, value, running_sup]."""

@@ -142,11 +142,25 @@ def _gram(Y):
     return Yh @ Y if Y.shape[-1] <= Y.shape[-2] else Y @ Yh
 
 
+def _trace_dot(A, B):
+    """Re tr(A B) for Hermitian B, batched over leading axes.
+
+    B_ji = conj(B_ij), so tr(A B) = sum_ij A_ij conj(B_ij), whose real part
+    is the dot product of the two float views: one contiguous pass over each
+    operand, where reading B transposed would stride across it. Each matrix
+    pair is one vector-vector product, however many the batch holds.
+    """
+    a = A.reshape(*A.shape[:-2], -1).view(np.float64)
+    b = B.reshape(*B.shape[:-2], -1).view(np.float64)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _trace_power(G, k):
     """tr(G^k) for Hermitian G, batched over leading axes, by matrix products.
 
-    G^k is split as G^a G^b with a = k // 2 and b = k - a, and the trace of
-    the product is read off entrywise, so G^k itself is never formed.
+    G^k is split as G^a G^b with a = k // 2 and b = k - a, both Hermitian,
+    and the trace of the product is their ``_trace_dot``, so G^k itself is
+    never formed.
     """
     if k == 1:
         return np.einsum("...ii->...", G).real
@@ -154,7 +168,7 @@ def _trace_power(G, k):
     for _ in range(k // 2 - 1):
         half = half @ G
     other = half @ G if k % 2 else half
-    return np.einsum("...ij,...ji->...", half, other).real
+    return _trace_dot(half, other)
 
 
 def _even_power_sum(Y, k):

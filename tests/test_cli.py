@@ -313,6 +313,69 @@ class TestDiscretize:
         assert rc == 2
 
 
+class TestReportEncoding:
+    """check and discretize encode each report once, to the bytes of the JSON
+    round trip (report.to_json(), then json.loads) they used to make."""
+
+    SPECS = {
+        "toeplitz_2d": {"kind": "toeplitz", "d": 2,
+                        "phi": "cos(0.7*k1 + 1.1*k2) / (1 + k1*k1 + k2*k2)"},
+        "toeplitz_3d": {"kind": "toeplitz", "d": 3,
+                        "phi": "cos(0.7*k1 - 1.1*k3) / (1 + k1*k1 + k2*k2 + k3*k3)"},
+    }
+
+    def _commands(self, tmp_path):
+        paths = {}
+        for name, spec in self.SPECS.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(spec))
+        levels = ["--jmin", "-2", "--jmax", "2"]
+        return [
+            ["check", "--catalog", "triangular", "--nmax", "6", "--base-range=-8:8"],
+            ["check", "--catalog", "lacunary_toeplitz", "--seed", "3", "--nmax", "6",
+             "--base-range=-8:8"],
+            ["check", "--spec", str(paths["toeplitz_2d"]), "--kmax", "2",
+             "--base-range=-2:2"],
+            ["check", "--spec", str(paths["toeplitz_3d"]), "--alpha", "--kmax", "2",
+             "--base-range=-2:2"],
+            ["check", "--catalog", "continuous_arctan", *levels],
+            ["check", "--catalog", "continuous_ratio", *levels],
+            ["discretize", "--catalog", "continuous_ratio", "--scale", "3", *levels],
+            ["discretize", "--catalog", "continuous_arctan", "--scale", "4", *levels],
+        ]
+
+    def test_reports_match_the_round_trip(self, tmp_path, monkeypatch):
+        from schurkit.marcinkiewicz import ConditionReport
+
+        out = tmp_path / "report.json"
+
+        def report(argv):
+            assert main(argv + ["--out", str(out)]) in (0, 1)
+            return _strip_timestamp(out.read_text())
+
+        commands = self._commands(tmp_path)
+        direct = [report(argv) for argv in commands]
+        encoded = ConditionReport.as_dict
+        monkeypatch.setattr(ConditionReport, "as_dict", lambda self: json.loads(
+            json.dumps(encoded(self), indent=2, sort_keys=True)))
+        assert [report(argv) for argv in commands] == direct
+
+    @pytest.mark.parametrize("name, scale", [("continuous_ratio", 3),
+                                             ("continuous_arctan", 4)])
+    def test_symbol_file_matches_per_entry_floats(self, tmp_path, name, scale):
+        from schurkit import catalog, discretize_continuous
+
+        out = tmp_path / "report.json"
+        main(["discretize", "--catalog", name, "--scale", str(scale), "--jmin", "-1",
+              "--jmax", "1", "--nmax", "3", "--out", str(out)])
+        text = out.with_suffix(".symbol.json").read_text()
+        window = Box.interval(-34, 35)
+        table = discretize_continuous(catalog(name), scale, window).values_on(window, window)
+        spec = json.loads(text)
+        spec["entries"] = [[[float(z.real), float(z.imag)] for z in row] for row in table]
+        assert json.dumps(spec, sort_keys=True) == text
+
+
 class TestSpecErrors:
     def test_expression_parse_error(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"

@@ -212,6 +212,60 @@ class TestUnitStart:
                 np.abs(m.values_on(box, box)).max(), rel=1e-15, abs=0)
 
 
+# The values the full search reported before the rank-one certificate,
+# budget 3 x 30, seed 1, on the window [-6, 6) and the growth window [-3, 3),
+# per (symbol seed, p). Its amplified searches ended 1-2 ulps above the plain
+# value at p = 6 for seeds 1 and 2, from random starts; they now report the
+# unit start's bits.
+_RANK_ONE_VALUES = {
+    (0, "4/3"): (0.8801226072827439, 0.7931904589839127),
+    (0, "4"): (0.8801226072827439, 0.7931904589839127),
+    (0, "6"): (0.8801226072827439, 0.7931904589839127),
+    (1, "4/3"): (0.9810476814404524, 0.9087232051339312),
+    (1, "4"): (0.9810476814404524, 0.9087232051339313),
+    (1, "6"): (0.9810476814404524, 0.9087232051339313),
+    (2, "4/3"): (0.9021788876835802, 0.7068767284708434),
+    (2, "4"): (0.9021788876835803, 0.7068767284708435),
+    (2, "6"): (0.9021788876835803, 0.7068767284708435),
+    (3, "4/3"): (0.7623904563968078, 0.7566826748619357),
+    (3, "4"): (0.7623904563968078, 0.7566826748619357),
+    (3, "6"): (0.7623904563968078, 0.7566826748619357),
+}
+
+
+class TestRankOneCertificate:
+    """A rank-one table attains sup|m| at the unit start, and runs no search."""
+
+    @pytest.mark.parametrize("p", ["4/3", "4", "6"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, None])
+    def test_unit_start_value_with_no_steps(self, seed, p):
+        m = catalog("constant_one") if seed is None else catalog("rank_one", seed=seed)
+        want, want_small = (1.0, 1.0) if seed is None else _RANK_ONE_VALUES[seed, p]
+        pf = float(Fraction(p))
+        kw = dict(budget={"restarts": 3, "iterations": 30}, seed=1)
+        win = Box.interval(-6, 6)
+        plain = norm_lower_bound(m, win, pf, **kw)
+        amp = cb_lower_bound(m, win, pf, 2, **kw)
+        rows = growth_experiment(m, [pf], [3, 6], **kw)
+        for res in (plain, amp):
+            assert res.iterations == 0 and res.flags["rank_one"]
+            assert res.flags["line_search"] == dict.fromkeys(estimator.LINE_SEARCH_COUNTS, 0)
+            res.verify(m)
+        assert (plain.value, amp.value) == (want, want)
+        assert [r["estimate"] for r in rows] == [want_small, want]
+        assert [r["iterations_used"] for r in rows] == [0, 0]
+
+    def test_perturbed_table_still_searches(self):
+        win = Box.interval(-6, 6)
+        table = catalog("rank_one", seed=1).values_on(win, win)
+        perturbed = table + 1e-6 * _random_complex(np.random.default_rng(71), table.shape)
+        assert not estimator._is_rank_one(perturbed)
+        m = DiscreteSymbol.dense(win, win, perturbed)
+        res = norm_lower_bound(m, win, 4.0, budget={"restarts": 3, "iterations": 30})
+        assert res.iterations > 0 and "rank_one" not in res.flags
+        assert res.flags["line_search"]["direct"] > 0
+
+
 class TestNormGradient:
     def test_even_p_matches_svd_gradient(self):
         rng = np.random.default_rng(31)
@@ -546,14 +600,41 @@ class TestGramLineSearch:
         for X in (generic, deficient):
             Y = m * X
             for g in (_random_complex(rng, (7, 7)), np.zeros((7, 7), dtype=complex)):
-                line = estimator._gram_line(m, X, Y, schatten._gram(Y), g)
+                line = estimator._gram_line(m, X, Y, schatten._gram(Y), g, p // 2)
+                assert len(line[0]) == len(line[1]) == p + 1
                 for h in (2.0 ** -2, 2.0 ** -10, 2.0 ** -40):
-                    nx, ny, gy = estimator._line_norms(line, h, p // 2)
+                    nx, ny = estimator._line_norms(line, h, p)
                     Z = X + h * g
                     assert nx == pytest.approx(schatten_norm(Z, p), rel=1e-13, abs=0)
                     assert ny == pytest.approx(schatten_norm(m * Z, p), rel=1e-13, abs=0)
+                    c0, c1, c2 = line[2]
+                    gy = c0 + h * c1 + (h * h) * c2
                     W = m * Z
                     assert np.abs(gy - np.conj(W.T) @ W).max() <= 1e-13 * np.abs(gy).max()
+
+    def test_failed_line_search_products_do_not_grow_with_halvings(self):
+        # a stalled start's line search at p = 6 fails after about 40
+        # halvings; the trace polynomials cost a fixed number of matrix
+        # products, where scoring each halving from its own Gram costs one
+        # product per halving and side
+        products = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                args = [np.asarray(x) if isinstance(x, np.ndarray) else x for x in inputs]
+                if ufunc is np.matmul and all(min(a.shape[-2:]) > 1 for a in args):
+                    products.append(1)
+                out = getattr(ufunc, method)(*args, **kwargs)
+                return out.view(Counted) if isinstance(out, np.ndarray) else out
+
+        m = catalog("lacunary_toeplitz", seed=0)
+        win = Box.interval(-16, 16)
+        table = m.values_on(win, win)
+        res = norm_lower_bound(m, win, 6.0, budget={"restarts": 3, "iterations": 100})
+        _, _, used, counts = estimator._ascend(table.view(Counted),
+                                               res.witness.data.view(Counted), 6.0, 1)
+        assert counts["failed"] == 1 and used == 0 and counts["expansion"] >= 40
+        assert len(products) < 30
 
     def test_failed_line_search_forms_no_candidates(self, monkeypatch):
         # a finished search's witness is a stalled start: its line search

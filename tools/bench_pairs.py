@@ -14,10 +14,11 @@ Each run's full record is read back from ``<checkout>/.perfbench/``. The
 output holds the method, the environment, per side the median and quartiles
 of every end-to-end metric, the pairs each side wins, the median and quartiles
 of the per-pair ratio change/parent (which host speed drifting between
-sessions moves less than the medians), and the median time of every job kind. After the pairs, each side runs every workload once more with
-``--trace 1`` at the first pair's seed, and the output lists each per-layer
-metric's parent and change values, so it shows in which layer a change in
-time or work lands.
+sessions moves less than the medians), and for every job kind the median
+time per side and the median over pairs of change/parent. After the pairs,
+each side runs every workload once more with ``--trace 1`` at the first
+pair's seed, and the output lists each per-layer metric's parent and change
+values, so it shows in which layer a change in time or work lands.
 """
 
 from __future__ import annotations
@@ -86,6 +87,19 @@ def metric_summary(name, runs):
     return out
 
 
+def kind_summary(kind, records):
+    """Per side the median over runs of one job kind's median time, and the
+    median over pairs of change/parent (pairs missing the kind left out)."""
+    times = {side: [r["kinds"][kind]["median_s"] if kind in r["kinds"] else None
+                    for r in records[side]] for side in SIDES}
+    out = {side: round(statistics.median(t for t in times[side] if t is not None), 4)
+           for side in SIDES if any(t is not None for t in times[side])}
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])
+              if p and c is not None]
+    out["pair_ratio"] = round(statistics.median(ratios), 4) if ratios else None
+    return out
+
+
 def summarize(records, seeds, first):
     """Per-workload metrics and job-kind medians from records[side] lists."""
     names = sorted({m for side in SIDES for r in records[side] for m in r["end_to_end"]})
@@ -95,11 +109,7 @@ def summarize(records, seeds, first):
         if all(v is not None for side in SIDES for v in runs[side]):
             metrics[name] = metric_summary(name, runs)
     kinds = sorted({k for side in SIDES for r in records[side] for k in r["kinds"]})
-    kind_medians = {
-        k: {side: round(statistics.median(r["kinds"][k]["median_s"]
-                                          for r in records[side] if k in r["kinds"]), 4)
-            for side in SIDES}
-        for k in kinds}
+    kind_medians = {k: kind_summary(k, records) for k in kinds}
     return {"pairs": len(seeds), "seeds": seeds, "first_in_pair": first,
             "metrics": metrics}, kind_medians
 
@@ -190,7 +200,10 @@ def main(argv=None):
                            "change_wins/losses count pairs where the change is "
                            "better/worse in the metric's direction; pair_ratio is the "
                            "median and quartiles of change/parent over the pairs "
-                           "(pairs with a zero parent value left out)"),
+                           "(pairs with a zero parent value left out); "
+                           "job_kind_median_s holds per side the median over runs of "
+                           "each job kind's median time, and pair_ratio, the median "
+                           "over pairs of change/parent"),
             "per_layer": (f"after the pairs, one run per side and workload with --trace 1 "
                           f"and seed {seeds[0]}, parent first; per_layer holds the "
                           "per-layer metrics of those two runs"),
@@ -211,6 +224,9 @@ def main(argv=None):
             print(f"{w:10s} {name:12s} parent {m['parent']['median']:<10.6g} "
                   f"change {m['change']['median']:<10.6g} "
                   f"wins {m['change_wins']}/{pairs} losses {m['change_losses']} {ratio}")
+        for kind, k in kind_medians[w].items():
+            print(f"{w:10s} {kind:40s} parent {k.get('parent', '-')} "
+                  f"change {k.get('change', '-')} pair ratio {k['pair_ratio']}")
     print(f"wrote {path}")
     return 0
 
