@@ -15,8 +15,11 @@ self-adjoint under (A, B) -> tr(A B^T), so its S_p and S_q norms agree, and
 at even q every ascent step takes matrix products instead of SVDs. The
 duality map X -> conj(J(m X)), a half-step of Boyd's power method for matrix
 p-norms, carries warm starts to q and the best witness back to p without
-lowering the ratio, and the value is certified at p. Everything is
-deterministic from (seed, restart index).
+lowering the ratio, and the value is certified at p. A start or witness
+with zero rows and columns (the unit start, zero-padded warm starts, block
+embeddings) is ascended, mapped and certified on its nonzero block: zero
+rows and columns carry no singular value, and no step fills them. Everything
+is deterministic from (seed, restart index).
 """
 
 from __future__ import annotations
@@ -322,13 +325,57 @@ def _is_rank_one(table):
     return bool(np.abs(residual).max() <= 1e-12 * abs(pivot))
 
 
+def _block(X):
+    """np.ix_ index of a square block of X holding its nonzero rows and
+    columns, or None when X (square) has no zero row or no zero column.
+
+    Zero rows and columns carry no singular value, so the ratio, the duality
+    map and the ascent (whose direction, p Y (Y* Y)^(k-1) or U S^(p-1) V*,
+    vanishes on them) are those of the block, scattered back into zeros.
+    The kernels take square matrices, so the shorter side is padded with its
+    first zero lines.
+    """
+    live = X != 0
+    rows, cols = live.any(axis=1), live.any(axis=0)
+    n = max(rows.sum(), cols.sum())
+    if n == len(rows):
+        return None
+    for lines in (rows, cols):
+        lines[np.flatnonzero(~lines)[: n - lines.sum()]] = True
+    return np.ix_(np.flatnonzero(rows), np.flatnonzero(cols))
+
+
+def _restrict(table, X):
+    """(block, table, X) on X's ``_block``; the full matrices when it is None."""
+    b = _block(X)
+    return (b, table, X) if b is None else (b, table[b], X[b])
+
+
+def _scatter(Xb, b, shape):
+    """The block Xb placed into zeros of ``shape`` (Xb itself when b is None)."""
+    if b is None:
+        return Xb
+    X = np.zeros(shape, dtype=np.complex128)
+    X[b] = Xb
+    return X
+
+
+def _block_duality_map(table, X, p):
+    """``_duality_map`` on X's block: m X, and so the map, vanish off it."""
+    b, tb, Xb = _restrict(table, X)
+    return _scatter(_duality_map(tb, Xb, p), b, X.shape)
+
+
 def _random_start(shape, seed, r):
     rng = np.random.default_rng([int(seed), int(r)])
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
 def _search(table, p, restarts, iterations, seed, extra_starts):
-    """The best witness over all starts, the ascent steps and line-search counts."""
+    """The best witness over all starts, the ascent steps and line-search counts.
+
+    Each start ascends on its ``_block``; the best is scattered back.
+    """
     # The unit start is a critical point of the ratio: score it, never
     # ascend it. At p = 2 it attains the norm, sup|m|, so it runs alone.
     starts = [(_unit_start(table), 0)]
@@ -337,16 +384,17 @@ def _search(table, p, restarts, iterations, seed, extra_starts):
                    for r in range(1, restarts)]
         starts += [(np.asarray(X, dtype=np.complex128), iterations)
                    for X in extra_starts]
-    best_val, best_X, total = -math.inf, None, 0
+    best_val, best, total = -math.inf, None, 0
     counts = dict.fromkeys(LINE_SEARCH_COUNTS, 0)
     for X0, steps in starts:
-        val, X, used, line_search = _ascend(table, X0, p, steps)
+        b, tb, Xb = _restrict(table, X0)
+        val, X, used, line_search = _ascend(tb, Xb, p, steps)
         total += used
         for key, n in line_search.items():
             counts[key] += n
         if val > best_val:
-            best_val, best_X = val, X
-    return best_X, total, counts
+            best_val, best = val, (X, b)
+    return _scatter(*best, table.shape), total, counts
 
 
 def _certify(table, window, p, restarts, iterations, seed, extra_starts,
@@ -358,8 +406,9 @@ def _certify(table, window, p, restarts, iterations, seed, extra_starts,
     ``rank_one``: it attains the norm. Otherwise the value is recomputed
     from the witness the search kept. For p < 2 the search runs at
     q = p/(p-1): the extra starts go in through the duality map at p and the
-    best witness comes out through the map at q. ``flags["line_search"]``
-    sums the searches' LINE_SEARCH_COUNTS.
+    best witness comes out through the map at q; both maps, like the value,
+    are computed on the witness's ``_block``. ``flags["line_search"]`` sums
+    the searches' LINE_SEARCH_COUNTS.
     """
     if not np.abs(table).any():
         return EstimateResult(
@@ -373,13 +422,14 @@ def _certify(table, window, p, restarts, iterations, seed, extra_starts,
         starts, extra_starts, flags = 1, (), {**flags, "rank_one": True}
     if p < 2.0:
         q = _dual_exponent(p)
-        extra_starts = [_duality_map(table, X, p) for X in extra_starts]
+        extra_starts = [_block_duality_map(table, X, p) for X in extra_starts]
         X, used, counts = _search(table, q, starts, iterations, seed, extra_starts)
-        X = _duality_map(table, X, q)
+        X = _block_duality_map(table, X, q)
         flags = {**flags, "search_p": q}
     else:
         X, used, counts = _search(table, p, starts, iterations, seed, extra_starts)
-    value = schatten_norm(table * X, p) / schatten_norm(X, p)
+    _, tb, Xb = _restrict(table, X)
+    value = schatten_norm(tb * Xb, p) / schatten_norm(Xb, p)
     return EstimateResult(
         value=float(value), witness=LabeledMatrix(window, window, X), p=p,
         window=window, restarts=restarts, iterations=used, seed=seed,

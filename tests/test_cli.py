@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from schurkit import Box, load_symbol
+from schurkit import Box, cli, load_symbol
 from schurkit.cli import main
 
 
@@ -18,6 +18,38 @@ def _strip_timestamp(text: str) -> str:
     return "\n".join(line for line in text.splitlines()
                      if "generated_at" not in line
                      and not line.startswith("# out="))
+
+
+# every subcommand's help, an unknown option, a bad option value, an unknown
+# command and no arguments
+_PARSE_EXITS = ([["--help"]] + [[c, "--help"] for c in cli._COMMANDS]
+                + [["estimate", "--bogus"], ["check", "--nmax", "x"], ["nosuch"], []])
+
+
+class TestParserBuild:
+    """main builds the named subcommand's parser alone, with the full build's output."""
+
+    @staticmethod
+    def _exit(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return out.out, out.err, exc.value.code
+
+    @pytest.mark.parametrize("argv", _PARSE_EXITS, ids=lambda a: " ".join(a) or "none")
+    def test_same_output_as_the_full_parser(self, argv, capsys):
+        full = self._exit(lambda a: cli._build_parser().parse_args(a), argv, capsys)
+        assert self._exit(main, argv, capsys) == full
+
+    def test_a_named_command_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        for name, (help_text, add) in list(cli._COMMANDS.items()):
+            monkeypatch.setitem(cli._COMMANDS, name, (
+                help_text, lambda p, name=name, add=add: (built.append(name), add(p))))
+        self._exit(main, ["estimate", "--help"], capsys)
+        assert built == ["estimate"]
+        self._exit(main, ["--help"], capsys)
+        assert built == ["estimate", *cli._COMMANDS]
 
 
 class TestCatalog:

@@ -15,7 +15,9 @@ output holds the method, the environment, per side the median and quartiles
 of every end-to-end metric, the pairs each side wins, the median and quartiles
 of the per-pair ratio change/parent (which host speed drifting between
 sessions moves less than the medians), and for every job kind the median
-time per side and the median over pairs of change/parent. After the pairs,
+time per side and the median over pairs of change/parent, and per run the
+job kinds at its p50 and tail ranks, so a tail claim shows which job moved.
+After the pairs,
 each side runs every workload once more with ``--trace 1`` at the first
 pair's seed, and the output lists each per-layer metric's parent and change
 values, so it shows in which layer a change in time or work lands.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -100,6 +103,22 @@ def kind_summary(kind, records):
     return out
 
 
+def kinds_at_ranks(record):
+    """The job kinds at a run's p50 and tail ranks (nearest rank).
+
+    Each kind is ranked at its median time, once per slot it holds in a pass
+    (its jobs over the run's passes); the tail is the run's own percentile.
+    """
+    passes = record["detail"]["passes"]
+    ranked = sorted((k["median_s"], name) for name, k in record["kinds"].items()
+                    for _ in range(round(k["jobs"] / passes)))
+
+    def at(q):
+        return ranked[max(1, math.ceil(q / 100 * len(ranked))) - 1][1]
+
+    return {"p50": at(50), "tail": at(record["detail"]["tail_percentile"])}
+
+
 def summarize(records, seeds, first):
     """Per-workload metrics and job-kind medians from records[side] lists."""
     names = sorted({m for side in SIDES for r in records[side] for m in r["end_to_end"]})
@@ -110,8 +129,9 @@ def summarize(records, seeds, first):
             metrics[name] = metric_summary(name, runs)
     kinds = sorted({k for side in SIDES for r in records[side] for k in r["kinds"]})
     kind_medians = {k: kind_summary(k, records) for k in kinds}
+    at_ranks = {side: [kinds_at_ranks(r) for r in records[side]] for side in SIDES}
     return {"pairs": len(seeds), "seeds": seeds, "first_in_pair": first,
-            "metrics": metrics}, kind_medians
+            "metrics": metrics, "kind_at_rank": at_ranks}, kind_medians
 
 
 def checkout_state(path: Path, commit) -> str:
@@ -203,7 +223,10 @@ def main(argv=None):
                            "(pairs with a zero parent value left out); "
                            "job_kind_median_s holds per side the median over runs of "
                            "each job kind's median time, and pair_ratio, the median "
-                           "over pairs of change/parent"),
+                           "over pairs of change/parent; kind_at_rank names per "
+                           "side and run the job kinds at the p50 and tail ranks, "
+                           "ranking each kind's median time once per slot it holds "
+                           "in a pass (its jobs over the run's passes)"),
             "per_layer": (f"after the pairs, one run per side and workload with --trace 1 "
                           f"and seed {seeds[0]}, parent first; per_layer holds the "
                           "per-layer metrics of those two runs"),
@@ -224,6 +247,10 @@ def main(argv=None):
             print(f"{w:10s} {name:12s} parent {m['parent']['median']:<10.6g} "
                   f"change {m['change']['median']:<10.6g} "
                   f"wins {m['change_wins']}/{pairs} losses {m['change_losses']} {ratio}")
+        for side in SIDES:
+            ranks = summary[w]["kind_at_rank"][side]
+            print(f"{w:10s} {side:6s} p50 kinds {[r['p50'] for r in ranks]} "
+                  f"tail kinds {[r['tail'] for r in ranks]}")
         for kind, k in kind_medians[w].items():
             print(f"{w:10s} {kind:40s} parent {k.get('parent', '-')} "
                   f"change {k.get('change', '-')} pair ratio {k['pair_ratio']}")
