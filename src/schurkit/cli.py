@@ -213,24 +213,19 @@ def cmd_check(args) -> int:
         jmin = args.jmin if args.jmin is not None else -7
         jmax = args.jmax if args.jmax is not None else 7
         report = check_continuous(sym, (jmin, jmax))
-        headline = {"A": report.a_const, "C1": report.c1}
     else:
         d = sym.d
         base = (_parse_base_range(args.base_range, d) if args.base_range
                 else Box.cube(-8, 8, d))
-        if d == 1:
+        if args.alpha or d > 2:
+            report = check_dd(sym, args.kmax or 4, base)
+        elif d == 1:
             report = check_1d(sym, args.nmax or 8, base)
-            headline = {"C1": report.c1, "C2": report.c2,
-                        "within_block_sup": report.within_block_sup}
-        elif d == 2 and not args.alpha:
-            report = check_2d(sym, args.kmax or 5, base)
-            headline = {"C1": report.c1, "C2": report.c2, "C3": report.c3}
         else:
-            report = check_dd(sym, d, args.kmax or 4, base)
-            headline = {"C1": report.c1, "C": report.c2}
+            report = check_2d(sym, args.kmax or 5, base)
     config = _run_config(args, "check", label)
     data = report.as_dict()
-    data["headline"] = headline
+    data["headline"] = headline = report.headline
     _emit(args, config, data, report.csv_rows())
     values = [v for v in headline.values() if v is not None]
     if any(not math.isfinite(v) for v in values):

@@ -47,6 +47,9 @@ DEFAULT_BUDGET = {"restarts": 10, "iterations": 200}
 # flags["line_search"]: candidates scored from formed matrices, candidates
 # scored from the Gram expansion, and line searches that found no rise
 LINE_SEARCH_COUNTS = ("direct", "expansion", "failed")
+# EstimateResult.verify: the largest drift of the recomputed witness ratio,
+# relative to max(|value|, 1)
+_VERIFY_TOL = 1e-12
 
 
 @dataclass
@@ -62,8 +65,9 @@ class EstimateResult:
     seed: int
     flags: dict = field(default_factory=dict)
 
-    def verify(self, m: DiscreteSymbol, tol: float = 1e-12) -> float:
-        """Recompute the witness ratio; raises if it drifts from ``value``.
+    def verify(self, m: DiscreteSymbol) -> float:
+        """Recompute the witness ratio; raises if it drifts from ``value``
+        by more than ``_VERIFY_TOL``.
 
         The table is rebuilt as the search built it, amplified when
         ``flags["k_amp"]`` is set (the block slot is the window's last
@@ -80,7 +84,7 @@ class EstimateResult:
         ratio = (_svd_schatten_norm(_amplified(m.values_on(window, window), k) * X, self.p)
                  / _svd_schatten_norm(X, self.p))
         scale = max(abs(self.value), 1.0)
-        if abs(ratio - self.value) > tol * scale:
+        if abs(ratio - self.value) > _VERIFY_TOL * scale:
             raise AssertionError(
                 f"witness ratio {ratio!r} drifted from reported value {self.value!r}"
             )
@@ -513,13 +517,13 @@ def _estimate_row(m: DiscreteSymbol, label: str, p, N: int, res: EstimateResult,
 
 
 def growth_experiment(m: DiscreteSymbol, p_list, N_list, budget=None,
-                      seed: int = 0, warm_start: bool = True) -> list[dict]:
+                      seed: int = 0) -> list[dict]:
     """Lower bounds across window sizes against the reference (p^2/(p-1))^(d+2).
 
-    For each p the windows [-N, N)^d are processed in increasing order; with
-    ``warm_start`` the previous witness, zero-padded into the larger window,
-    joins the start list, which makes the estimates nondecreasing in N by
-    construction. Returns one row dict per (p, N); ``iterations_budget`` is
+    For each p the windows [-N, N)^d are processed in increasing order; the
+    previous witness, zero-padded into the larger window, joins the start
+    list, which makes the estimates nondecreasing in N by construction.
+    Returns one row dict per (p, N); ``iterations_budget`` is
     the per-start step budget and ``iterations_used`` the ascent steps the
     window's search took over all its starts.
     """
@@ -531,7 +535,7 @@ def growth_experiment(m: DiscreteSymbol, p_list, N_list, budget=None,
         for N in sorted(int(N) for N in N_list):
             window = Box.cube(-N, N, d)
             extra = []
-            if warm_start and prev is not None:
+            if prev is not None:
                 prev_window, prev_data = prev
                 idx, valid = window.index_array(prev_window.points_array())
                 if not valid.all():

@@ -37,6 +37,25 @@ class QuadratureError(RuntimeError):
     """Raised when a quadrature refinement check fails to converge."""
 
 
+# Per report kind, each derived constant as (field, section, direction
+# prefix): the largest value among the rows of that section whose direction
+# starts with the prefix.
+_SUPREMA = {
+    "1d": (("c2", "table", ""), ("within_block_sup", "within_table", "")),
+    "2d": (("c2", "table", "edge"), ("c3", "table", "mixed")),
+    "dd": (("c2", "table", ""),),
+    "continuous": (("a_const", "table", ""),),
+}
+
+# Per report kind, the constants the command line prints as its headline.
+_HEADLINES = {
+    "1d": {"C1": "c1", "C2": "c2", "within_block_sup": "within_block_sup"},
+    "2d": {"C1": "c1", "C2": "c2", "C3": "c3"},
+    "dd": {"C1": "c1", "C": "c2"},
+    "continuous": {"A": "a_const", "C1": "c1"},
+}
+
+
 @dataclass
 class ConditionReport:
     """Table of block variation sums with their suprema.
@@ -45,7 +64,9 @@ class ConditionReport:
     batch maximum, and the value. ``within_table`` (one-dimensional checks
     only) holds the one-sided sums whose difference endpoints both lie in a
     single signed block; those are the quantities controlled by a continuous
-    derivative bound after cell-average discretization.
+    derivative bound after cell-average discretization. The suprema ``c2``,
+    ``c3``, ``a_const`` and ``within_block_sup`` are derived from the rows
+    on construction (``_SUPREMA``); only ``c1``, the largest |m|, is given.
     """
 
     kind: str
@@ -53,13 +74,30 @@ class ConditionReport:
     d: int
     table: list = field(default_factory=list)
     c1: float | None = None
-    c2: float | None = None
-    c3: float | None = None
-    a_const: float | None = None
+    c2: float | None = field(default=None, init=False)
+    c3: float | None = field(default=None, init=False)
+    a_const: float | None = field(default=None, init=False)
     within_table: list = field(default_factory=list)
-    within_block_sup: float | None = None
+    within_block_sup: float | None = field(default=None, init=False)
     flags: dict = field(default_factory=dict)
     truncation: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, sup in self._suprema():
+            setattr(self, name, sup)
+        self.check_invariants()
+
+    def _suprema(self):
+        """(field, supremum of its rows) per derived constant; None for no rows."""
+        for name, section, prefix in _SUPREMA[self.kind]:
+            values = [r["value"] for r in getattr(self, section)
+                      if str(r["direction"]).startswith(prefix)]
+            yield name, float(max(values)) if values else None
+
+    @property
+    def headline(self) -> dict:
+        """The constants the command line prints, by their printed names."""
+        return {label: getattr(self, name) for label, name in _HEADLINES[self.kind].items()}
 
     def as_dict(self) -> dict:
         """The report as plain Python values: what ``to_json`` encodes."""
@@ -114,18 +152,9 @@ class ConditionReport:
         for r in self.table + self.within_table:
             if r["value"] < 0:
                 raise AssertionError("negative variation sum recorded")
-        mixed = [r["value"] for r in self.table if str(r["direction"]).startswith("mixed")]
-        plain = [r["value"] for r in self.table if not str(r["direction"]).startswith("mixed")]
-        if self.c2 is not None and plain and max(plain) != self.c2:
-            raise AssertionError("supremum C2 does not match its table")
-        if self.c3 is not None and mixed and max(mixed) != self.c3:
-            raise AssertionError("supremum C3 does not match its table")
-        if self.a_const is not None and self.table:
-            if max(r["value"] for r in self.table) != self.a_const:
-                raise AssertionError("supremum A does not match its table")
-        if self.within_block_sup is not None and self.within_table:
-            if max(r["value"] for r in self.within_table) != self.within_block_sup:
-                raise AssertionError("within-block supremum does not match its table")
+        for name, sup in self._suprema():
+            if getattr(self, name) != sup:
+                raise AssertionError(f"supremum {name} does not match its table")
         return True
 
 
@@ -138,6 +167,18 @@ def _bases_array(base_range: Box, d: int) -> np.ndarray:
     if len(pts) == 0:
         raise ValueError("base_range is empty")
     return pts
+
+
+def _sup_row(level, direction, bases, values, **extra):
+    """Table row at the first base where ``values`` peaks.
+
+    ``bases`` holds one base per value: a number each when it is 1-d, a
+    point (row) each otherwise, reported as a tuple.
+    """
+    i = int(np.argmax(values))
+    base = bases[i].item() if bases.ndim == 1 else tuple(bases[i].tolist())
+    return {"level": level, "direction": direction, **extra, "base": base,
+            "value": float(values[i])}
 
 
 # Symbol pairs per run of bases: about 16 MB of complex values.
@@ -245,37 +286,28 @@ def check_1d(m: DiscreteSymbol, N_max: int, base_range: Box) -> ConditionReport:
     sums = sums.reshape(N_max, 3, 2, -1)
     # "row" differences the first argument: the "right" orientation
     directions = ((1, "row"), (0, "col"))
-
-    def row(lvl, direction, s):
-        i = int(np.argmax(s))
-        return {"level": lvl + 1, "direction": direction,
-                "base": int(bases[i, 0]), "value": float(s[i])}
-
+    xs = bases[:, 0]
     table = []
     within = []
     for lvl in range(N_max):
-        table += [row(lvl, d, sums[lvl, 0, o]) for o, d in directions]
-        within += [row(lvl, d + sign, sums[lvl, g, o])
+        table += [_sup_row(lvl + 1, d, xs, sums[lvl, 0, o]) for o, d in directions]
+        within += [_sup_row(lvl + 1, d + sign, xs, sums[lvl, g, o])
                    for o, d in directions
                    for g, sign in ((1, "+"), (2, "-"))]
 
-    report = ConditionReport(
+    return ConditionReport(
         kind="1d",
         symbol=getattr(m, "name", None) or "symbol",
         d=1,
         table=table,
         c1=c1,
-        c2=float(max(r["value"] for r in table)),
         within_table=within,
-        within_block_sup=float(max(r["value"] for r in within)),
         truncation={
             "N_max": N_max,
             "bases": [int(bases.min()), int(bases.max())],
             "k_range": [int(-top), int(top)],
         },
     )
-    report.check_invariants()
-    return report
 
 
 def _growth_flag(per_level: list[float]) -> bool:
@@ -321,53 +353,44 @@ def check_2d(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
     sums = sums.reshape(k_max, 5, 2, -1)
 
     table = []
-    edge_by_level = {"left": [], "right": []}
     for k in range(1, k_max + 1):
         s = sums[k - 1]
         for label, part in (("edge", s[0] + s[1] + s[2] + s[3]), ("mixed", s[4])):
-            for o, orient in enumerate(_ORIENTS):
-                i = int(np.argmax(part[o]))
-                table.append({
-                    "level": k, "direction": f"{label}-{orient}",
-                    "base": tuple(int(v) for v in bases[i]),
-                    "value": float(part[o, i]),
-                })
-                if label == "edge":
-                    edge_by_level[orient].append(float(part[o].max()))
+            table += [_sup_row(k, f"{label}-{orient}", bases, part[o])
+                      for o, orient in enumerate(_ORIENTS)]
 
-    edge_rows = [r["value"] for r in table if r["direction"].startswith("edge")]
-    mixed_rows = [r["value"] for r in table if r["direction"].startswith("mixed")]
-    report = ConditionReport(
+    def edge_levels(orient):
+        return [r["value"] for r in table if r["direction"] == f"edge-{orient}"]
+
+    return ConditionReport(
         kind="2d",
         symbol=getattr(m, "name", None) or "symbol",
         d=2,
         table=table,
         c1=c1,
-        c2=float(max(edge_rows)),
-        c3=float(max(mixed_rows)),
         flags={
-            "nonuniform_growth": _growth_flag(edge_by_level["left"])
-            or _growth_flag(edge_by_level["right"]),
+            "nonuniform_growth": _growth_flag(edge_levels("left"))
+            or _growth_flag(edge_levels("right")),
         },
         truncation={"k_max": k_max, "bases": len(bases)},
     )
-    report.check_invariants()
-    return report
 
 
-def check_dd(m: DiscreteSymbol, d: int, k_max: int, base_range: Box,
-             cap: int = 3) -> ConditionReport:
-    """Anchored mixed-difference sums in dimension d, all nonzero axis masks.
+# The largest symbol dimension check_dd takes: 2^d - 1 masks per level.
+_DD_CAP = 3
+
+
+def check_dd(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
+    """Anchored mixed-difference sums in the symbol's dimension d, all nonzero axis masks.
 
     For each level k and mask alpha, the coordinates outside alpha are pinned
     to the positive block corner 2^(k-1) and the alpha coordinates run over
     the block's extent; the mask of all axes runs over the whole shell. Sums
     |difference of m along alpha| in both argument orders; C is the maximum.
     """
-    if not 1 <= d <= cap:
-        raise ValueError(f"dimension {d} outside the supported range 1..{cap}")
-    if m.d != d:
-        raise ValueError("symbol dimension mismatch")
+    d = m.d
+    if not 1 <= d <= _DD_CAP:
+        raise ValueError(f"dimension {d} outside the supported range 1..{_DD_CAP}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     bases = _bases_array(base_range, d)
@@ -388,28 +411,16 @@ def check_dd(m: DiscreteSymbol, d: int, k_max: int, base_range: Box,
             regions.append((alpha, T))
     sums, c1 = _variation_sums(m, bases, _level_hull(k_max, d), regions)
 
-    table = []
-    for r, (alpha, _) in enumerate(regions):
-        for o, orient in enumerate(_ORIENTS):
-            i = int(np.argmax(sums[r, o]))
-            table.append({
-                "level": r // len(masks) + 1, "direction": f"{alpha}-{orient}",
-                "alpha": alpha,
-                "base": tuple(int(v) for v in bases[i]),
-                "value": float(sums[r, o, i]),
-            })
-
-    report = ConditionReport(
+    table = [_sup_row(r // len(masks) + 1, f"{alpha}-{orient}", bases, sums[r, o], alpha=alpha)
+             for r, (alpha, _) in enumerate(regions) for o, orient in enumerate(_ORIENTS)]
+    return ConditionReport(
         kind="dd",
         symbol=getattr(m, "name", None) or "symbol",
         d=d,
         table=table,
         c1=c1,
-        c2=float(max(r["value"] for r in table)),
-        truncation={"k_max": k_max, "bases": len(bases), "cap": cap},
+        truncation={"k_max": k_max, "bases": len(bases), "cap": _DD_CAP},
     )
-    report.check_invariants()
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +471,14 @@ def _paired_cell_averages(M: ContinuousSymbol, s_arr, t_arr, k: int, order: int)
 
 
 def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
-                          tol: float = 1e-8, check: bool = True) -> DiscreteSymbol:
+                          tol: float = 1e-8) -> DiscreteSymbol:
     """Dense symbol of cell averages of M at scale k over a window.
 
     Entry (s, t) is the mean of M over the sheared half-open cell traced by
     ((s+u)/2^k, (t+v+u)/2^k) for (u, v) in the unit square, computed with
     tensor Gauss-Legendre quadrature at the lower order of ``_GL_ORDERS``.
-    When ``check`` is set, a strided sample of cells is recomputed at the
-    higher order; disagreement above ``tol`` raises QuadratureError.
+    A strided sample of cells is recomputed at the higher order;
+    disagreement above ``tol`` raises QuadratureError.
     """
     if M.d != 1:
         raise SymbolError("cell-average discretization is defined for d = 1 symbols")
@@ -479,25 +490,21 @@ def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
     order, check_order = _GL_ORDERS
     entries = _cell_averages(M, pts, pts, k, order)
 
-    if check:
-        n = len(pts)
-        total = n * n
-        if total <= 4096:
-            idx = np.arange(total)
-        else:
-            stride = max(1, total // 1024)
-            idx = np.arange(0, total, stride)
-        si, ti = idx // n, idx % n
-        coarse = entries[si, ti]
-        fine = _paired_cell_averages(M, pts[si], pts[ti], k, check_order)
-        gap = np.abs(fine - coarse)
-        worst = int(np.argmax(gap))
-        if gap[worst] > tol:
-            s_bad, t_bad = int(pts[si[worst]]), int(pts[ti[worst]])
-            raise QuadratureError(
-                f"cell average at (s={s_bad}, t={t_bad}), scale {k}, moved "
-                f"{gap[worst]:.3e} under order refinement (tol {tol:g})"
-            )
+    n = len(pts)
+    total = n * n
+    # every cell of a small table, else a strided sample of about 1024
+    idx = np.arange(0, total, 1 if total <= 4096 else total // 1024)
+    si, ti = idx // n, idx % n
+    coarse = entries[si, ti]
+    fine = _paired_cell_averages(M, pts[si], pts[ti], k, check_order)
+    gap = np.abs(fine - coarse)
+    worst = int(np.argmax(gap))
+    if gap[worst] > tol:
+        s_bad, t_bad = int(pts[si[worst]]), int(pts[ti[worst]])
+        raise QuadratureError(
+            f"cell average at (s={s_bad}, t={t_bad}), scale {k}, moved "
+            f"{gap[worst]:.3e} under order refinement (tol {tol:g})"
+        )
 
     name = f"{M.name or 'continuous'}_avg_k{k}"
     return DiscreteSymbol.dense(window, window, entries, name=name)
@@ -661,34 +668,15 @@ def check_continuous(M: ContinuousSymbol, j_range, *,
             res = _adaptive_gl(f, np.repeat(intervals, len(ys), axis=0), tol)
             res = res.reshape(len(intervals), len(ys))
             sums.append(res[0::2] + res[1::2])  # positive half + negative half
-        table = []
-        for lvl, j in enumerate(levels):
-            for vals, label in ((sums[0][lvl], "d1"), (sums[1][lvl], "d2")):
-                i = int(np.argmax(vals))
-                table.append({
-                    "level": j, "direction": label,
-                    "base": float(ys[i]), "value": float(vals[i]),
-                })
+        table = [_sup_row(j, label, ys, s[lvl])
+                 for lvl, j in enumerate(levels) for s, label in zip(sums, ("d1", "d2"))]
         x, y = shifted(np.concatenate([np.linspace(a, b, 9) for a, b in intervals]))
         samp = np.abs(M(x, y)).reshape(len(levels), 18, len(ys))
         c1 = max(0.0, *samp.max(axis=(1, 2)).tolist())
-        report = ConditionReport(
-            kind="continuous",
-            symbol=M.name or "continuous",
-            d=1,
-            table=table,
-            c1=c1,
-            a_const=float(max(r["value"] for r in table)),
-            truncation={
-                "levels": [levels[0], levels[-1]],
-                "y_grid": [float(ys.min()), float(ys.max()), int(len(ys))],
-                "tol": tol,
-            },
-        )
-        report.check_invariants()
-        return report
-
-    if M.d == 2:
+        truncation = {"levels": [levels[0], levels[-1]],
+                      "y_grid": [float(ys.min()), float(ys.max()), int(len(ys))],
+                      "tol": tol}
+    elif M.d == 2:
         axis = np.linspace(-2.0, 2.0, 5)
         ys = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         table = []
@@ -728,22 +716,10 @@ def check_continuous(M: ContinuousSymbol, j_range, *,
                             return at(tf, b_edge) if free == 0 else at(b_edge, tf)
 
                         vals = _adaptive_gl(line, [(-b_edge, b_edge)], tol)[0]
-                    i = int(np.argmax(vals))
-                    table.append({
-                        "level": j, "direction": f"{alpha}-{orient}",
-                        "alpha": alpha,
-                        "base": tuple(float(v) for v in ys[i]),
-                        "value": float(vals[i]),
-                    })
-        report = ConditionReport(
-            kind="continuous",
-            symbol=M.name or "continuous",
-            d=2,
-            table=table,
-            a_const=float(max(r["value"] for r in table)),
-            truncation={"levels": [levels[0], levels[-1]], "bases": len(ys), "tol": tol},
-        )
-        report.check_invariants()
-        return report
-
-    raise SymbolError("continuous conditions implemented for d <= 2")
+                    table.append(_sup_row(j, f"{alpha}-{orient}", ys, vals, alpha=alpha))
+        c1 = None
+        truncation = {"levels": [levels[0], levels[-1]], "bases": len(ys), "tol": tol}
+    else:
+        raise SymbolError("continuous conditions implemented for d <= 2")
+    return ConditionReport(kind="continuous", symbol=M.name or "continuous", d=M.d,
+                           table=table, c1=c1, truncation=truncation)

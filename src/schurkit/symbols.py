@@ -117,11 +117,10 @@ class DiscreteSymbol:
         _, okc = self.cols.index_array(t_pts)
         return okr & okc
 
-    def eval_pairs(self, s_pts, t_pts, strict=True):
+    def eval_pairs(self, s_pts, t_pts):
         """Vectorized evaluation on paired point batches.
 
-        With ``strict`` a dense symbol raises on any pair outside its windows;
-        otherwise those positions return 0.
+        A dense symbol raises on any pair outside its windows.
         """
         s_pts = _aspairs(s_pts, self.d)
         t_pts = _aspairs(t_pts, self.d)
@@ -131,19 +130,18 @@ class DiscreteSymbol:
             ridx, okr = self.rows.index_array(s_pts)
             cidx, okc = self.cols.index_array(t_pts)
             ok = okr & okc
-            if strict and not ok.all():
+            if not ok.all():
                 bad = int(np.argmin(ok))
                 raise WindowCapError(
                     f"pair ({tuple(s_pts[bad])}, {tuple(t_pts[bad])}) lies outside "
                     f"the dense windows"
                 )
-            vals = np.where(ok, self.entries[ridx, cidx], 0.0 + 0.0j)
-            return np.asarray(vals, dtype=np.complex128)
+            return self.entries[ridx, cidx]
         if self.kind == "toeplitz":
             return _values(self.phi(s_pts - t_pts), len(s_pts))
         return _values(self.fn(s_pts, t_pts), len(s_pts))
 
-    def values_on(self, rows: Box, cols: Box, strict=True):
+    def values_on(self, rows: Box, cols: Box):
         """Dense value table over rows x cols (row-major in both windows)."""
         if rows.npoints * cols.npoints > DEFAULT_WINDOW_CAP:
             raise WindowCapError(
@@ -168,7 +166,7 @@ class DiscreteSymbol:
         cp = cols.points_array()
         ss = np.repeat(rp, len(cp), axis=0)
         tt = np.tile(cp, (len(rp), 1))
-        return self.eval_pairs(ss, tt, strict=strict).reshape(rows.npoints, cols.npoints)
+        return self.eval_pairs(ss, tt).reshape(rows.npoints, cols.npoints)
 
     def __mul__(self, other):
         # products of Toeplitz symbols stay Toeplitz, with the values the
@@ -213,12 +211,13 @@ class ContinuousSymbol:
     differences with step ``h``.
     """
 
-    def __init__(self, fn, d=1, partial1=None, partial2=None, h=2.0**-20, name="continuous"):
+    h = 2.0**-20
+
+    def __init__(self, fn, d=1, partial1=None, partial2=None, name="continuous"):
         self.fn = fn
         self.d = int(d)
         self._partial1 = partial1
         self._partial2 = partial2
-        self.h = float(h)
         self.name = name
 
     def __call__(self, x, y):
@@ -307,17 +306,13 @@ def _lacunary_toeplitz(seed=0, levels=64):
     return DiscreteSymbol.toeplitz(phi, d=1, name=f"lacunary_toeplitz(seed={seed})")
 
 
-def _rank_one(u=None, v=None, seed=0, radius=1024):
-    """m(s, t) = u(s) * v(t) with tabulated factors on [-radius, radius]."""
-    if u is None or v is None:
-        rng = np.random.default_rng(int(seed))
-        width = 2 * radius + 1
-        u = rng.uniform(0.25, 1.0, size=width) * np.exp(2j * np.pi * rng.random(width))
-        v = rng.uniform(0.25, 1.0, size=width) * np.exp(2j * np.pi * rng.random(width))
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if len(u) != 2 * radius + 1 or len(v) != 2 * radius + 1:
-        raise SymbolError("factor tables must have length 2*radius + 1")
+def _rank_one(seed=0):
+    """m(s, t) = u(s) * v(t) with seeded random factors tabulated on [-radius, radius]."""
+    radius = 1024
+    rng = np.random.default_rng(int(seed))
+    width = 2 * radius + 1
+    u = rng.uniform(0.25, 1.0, size=width) * np.exp(2j * np.pi * rng.random(width))
+    v = rng.uniform(0.25, 1.0, size=width) * np.exp(2j * np.pi * rng.random(width))
 
     def fn(s, t):
         si = s[:, 0] + radius
@@ -340,11 +335,10 @@ def _smooth_homogeneous():
     return DiscreteSymbol.callback(fn, d=1, name="smooth_homogeneous")
 
 
-def _continuous_constant(value=1.0):
-    c = complex(value)
+def _continuous_constant():
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
     return ContinuousSymbol(
-        lambda x, y: np.full(np.broadcast(x, y).shape, c),
+        lambda x, y: np.ones(np.broadcast(x, y).shape, dtype=np.complex128),
         d=1, partial1=zero, partial2=zero, name="continuous_constant",
     )
 
@@ -507,16 +501,15 @@ def load_symbol(source):
         variables = [f"x{i + 1}" for i in range(d)] + [f"y{i + 1}" for i in range(d)]
 
         def make(expr_text, what):
-            fn = _expr.compile_expr(expr_text, variables)
+            fn = _guarded(_expr.compile_expr(expr_text, variables), guards, what)
 
             def body(x, y):
                 x = np.atleast_1d(np.asarray(x, dtype=float))
                 y = np.atleast_1d(np.asarray(y, dtype=float))
                 x, y = np.broadcast_arrays(x, y)
-                xc = x.reshape(-1, d) if d > 1 else x.reshape(-1, 1)
-                yc = y.reshape(-1, d) if d > 1 else y.reshape(-1, 1)
-                env = {**_env_from_columns("x", xc), **_env_from_columns("y", yc)}
-                return _guarded(lambda e: fn(e), guards, what)(env).reshape(x.shape if d == 1 else x.shape[:-1])
+                env = {**_env_from_columns("x", x.reshape(-1, d)),
+                       **_env_from_columns("y", y.reshape(-1, d))}
+                return fn(env).reshape(x.shape if d == 1 else x.shape[:-1])
 
             return body
 

@@ -275,13 +275,13 @@ def pi_embed(A: LabeledMatrix) -> MatTrigPoly:
                                      A.data.reshape(-1)[order])
 
 
-def is_pi_image(f: MatTrigPoly, tol: float = 0.0) -> bool:
-    """True when every coefficient at n lives on the diagonal {s - t = n}."""
+def is_pi_image(f: MatTrigPoly) -> bool:
+    """True when every nonzero coefficient at n lives on the diagonal {s - t = n}."""
     if f.rows != f.cols:
         return False
     rp = f.rows.points_array()
     off = (rp[f._row] - rp[f._col] != f._sup[f._fi]).any(axis=1)
-    return not bool((np.abs(f._val[off]) > tol).any())
+    return not bool((np.abs(f._val[off]) > 0.0).any())
 
 
 def _diagonals(m, freqs, window: Box, side: str) -> np.ndarray:
@@ -433,7 +433,7 @@ def _cutoff_factor(n, j: int, d: int) -> float:
     return cutoff_profile(math.sqrt(S) / (1 << j), d)
 
 
-def smooth_cutoff(f: MatTrigPoly, j: int, d: int | None = None) -> MatTrigPoly:
+def smooth_cutoff(f: MatTrigPoly, j: int) -> MatTrigPoly:
     """Scale each coefficient by the level-j dyadic bump of its frequency.
 
     The bump equals 1 on the level-j block for j >= 1, so projecting the
@@ -442,11 +442,7 @@ def smooth_cutoff(f: MatTrigPoly, j: int, d: int | None = None) -> MatTrigPoly:
     """
     if j < 0:
         raise ValueError("cutoff level must be nonnegative")
-    if d is None:
-        d = f.d
-    elif d != f.d:
-        raise ValueError("cutoff dimension does not match the polynomial")
-    w = np.array([_cutoff_factor(n, j, d) for n in f._sup.tolist()], dtype=float)
+    w = np.array([_cutoff_factor(n, j, f.d) for n in f._sup.tolist()], dtype=float)
     g = f._keep(w != 0.0)
     return g._with_values(g._val * w[w != 0.0][g._fi])
 

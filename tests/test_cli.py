@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from schurkit import Box, cli, load_symbol
+from schurkit import (Box, ConditionReport, catalog, check_1d, check_2d, check_continuous,
+                      check_dd, cli, load_symbol)
 from schurkit.cli import main
 
 
@@ -139,6 +140,68 @@ class TestCheck:
         body = _json_out(capsys)
         assert body["data"]["headline"]["A"] == pytest.approx(
             2.0 * np.arctan(1.0 / 3.0), abs=1e-8)
+
+    def test_alpha_on_a_d1_symbol_runs_the_mixed_difference_checker(self, capsys):
+        assert main(["check", "--catalog", "triangular", "--alpha", "--kmax", "3",
+                     "--base-range=-2:2"]) == 0
+        data = _json_out(capsys)["data"]
+        assert data["kind"] == "dd"
+        assert data["headline"] == {"C1": 1.0, "C": 1.0}
+        assert len(data["table"]) == 3 * 2
+        # without --kmax the mixed-difference checker's default of 4 levels
+        assert main(["check", "--catalog", "triangular", "--alpha",
+                     "--base-range=-2:2"]) == 0
+        assert _json_out(capsys)["data"]["truncation"]["k_max"] == 4
+
+
+_SPEC_2D = {"kind": "toeplitz", "d": 2,
+            "phi": "cos(0.7*k1 + 1.1*k2) / (1 + k1*k1 + k2*k2)"}
+
+# report kind -> (check options, the same check in the library, and each
+# derived constant with the section and direction prefix of its rows)
+_REPORT_KINDS = {
+    "1d": (["--catalog", "lacunary_toeplitz", "--seed", "1", "--nmax", "4",
+            "--base-range=-3:3"],
+           lambda spec: check_1d(catalog("lacunary_toeplitz", seed=1), 4, Box.interval(-3, 3)),
+           {"c2": ("table", ""), "within_block_sup": ("within_table", "")}),
+    "2d": (["--spec", "{spec}", "--kmax", "2", "--base-range=-2:2"],
+           lambda spec: check_2d(load_symbol(spec), 2, Box.cube(-2, 2, 2)),
+           {"c2": ("table", "edge"), "c3": ("table", "mixed")}),
+    "dd": (["--spec", "{spec}", "--alpha", "--kmax", "2", "--base-range=-2:2"],
+           lambda spec: check_dd(load_symbol(spec), 2, Box.cube(-2, 2, 2)),
+           {"c2": ("table", "")}),
+    "continuous": (["--catalog", "continuous_arctan", "--jmin", "-2", "--jmax", "1"],
+                   lambda spec: check_continuous(catalog("continuous_arctan"), (-2, 1)),
+                   {"a_const": ("table", "")}),
+}
+
+
+class TestReportConstants:
+    """A report derives its suprema from its own rows, and the check command
+    prints the report's headline."""
+
+    @pytest.mark.parametrize("kind", list(_REPORT_KINDS))
+    def test_derived_constants_and_headline(self, kind, tmp_path, capsys):
+        options, run, derived = _REPORT_KINDS[kind]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_SPEC_2D))
+        rep = run(str(spec))
+        assert rep.kind == kind
+        for name in ("c2", "c3", "a_const", "within_block_sup"):
+            if name in derived:
+                section, prefix = derived[name]
+                rows = [r["value"] for r in getattr(rep, section)
+                        if str(r["direction"]).startswith(prefix)]
+                assert getattr(rep, name) == max(rows)
+            else:
+                assert getattr(rep, name) is None
+        assert main(["check", *[o.format(spec=spec) for o in options]]) == 0
+        assert _json_out(capsys)["data"]["headline"] == rep.headline
+
+    @pytest.mark.parametrize("name", ["c2", "c3", "a_const", "within_block_sup"])
+    def test_suprema_are_not_inputs(self, name):
+        with pytest.raises(TypeError):
+            ConditionReport(kind="1d", symbol="x", d=1, **{name: 1.0})
 
 
 class TestVerify:

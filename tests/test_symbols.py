@@ -32,11 +32,6 @@ class TestDiscreteSymbol:
         with pytest.raises(SymbolError):
             m((2,), (0,))
 
-    def test_dense_nonstrict_zero_fills(self):
-        m = DiscreteSymbol.dense(Box.interval(0, 2), Box.interval(0, 2), np.ones((2, 2)))
-        vals = m.eval_pairs(np.array([[0], [5]]), np.array([[0], [0]]), strict=False)
-        assert vals.tolist() == [1.0, 0.0]
-
     def test_toeplitz_depends_on_difference(self):
         m = DiscreteSymbol.toeplitz(lambda k: k[:, 0].astype(complex) ** 2, d=1)
         assert m((5,), (3,)) == 4
