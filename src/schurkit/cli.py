@@ -41,7 +41,6 @@ from .symbols import (
     ContinuousSymbol,
     DiscreteSymbol,
     SymbolError,
-    WindowCapError,
     catalog,
     catalog_names,
     load_symbol,
@@ -51,7 +50,7 @@ from . import transference as tr
 _CATALOG_BUILDERS_SEEDED = {"lacunary_toeplitz", "rank_one"}
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Input problem: reported on stderr, exit status 2."""
 
 
@@ -90,7 +89,7 @@ def _parse_n_list(text: str):
     return ns
 
 
-def _parse_base_range(text: str, d_hint: int | None = None) -> Box:
+def _parse_base_range(text: str, d: int) -> Box:
     pairs = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -101,8 +100,8 @@ def _parse_base_range(text: str, d_hint: int | None = None) -> Box:
             pairs.append((int(lo_s), int(hi_s)))
         except ValueError as exc:
             raise CliError(f"cannot parse base range {tok!r}: {exc}") from None
-    if d_hint is not None and len(pairs) == 1 and d_hint > 1:
-        pairs = pairs * d_hint
+    if len(pairs) == 1:
+        pairs = pairs * d
     try:
         return Box.from_pairs(pairs)
     except ValueError as exc:
@@ -110,19 +109,17 @@ def _parse_base_range(text: str, d_hint: int | None = None) -> Box:
 
 
 def _resolve_symbol(args):
-    if getattr(args, "catalog", None) and getattr(args, "spec", None):
+    if args.catalog and args.spec:
         raise CliError("--catalog and --spec are mutually exclusive")
-    if getattr(args, "catalog", None):
+    if args.catalog:
         name = args.catalog
-        params = {}
-        if name in _CATALOG_BUILDERS_SEEDED and args.seed is not None:
-            params["seed"] = args.seed
+        params = {"seed": args.seed} if name in _CATALOG_BUILDERS_SEEDED else {}
         try:
             sym = catalog(name, **params)
         except SymbolError as exc:
             raise CliError(str(exc)) from None
         return sym, f"catalog:{name}"
-    if getattr(args, "spec", None):
+    if args.spec:
         path = Path(args.spec)
         if not path.exists():
             raise CliError(f"symbol spec file not found: {path}")
@@ -136,19 +133,14 @@ def _resolve_symbol(args):
     raise CliError("a symbol is required: pass --catalog NAME or --spec PATH")
 
 
-def _run_config(args, command: str, symbol_label: str | None) -> dict:
-    keys = ("nmax", "kmax", "jmin", "jmax", "base_range", "p", "n",
-            "restarts", "iters", "seed", "amp", "format", "threshold",
-            "trials", "inject_fault", "scale")
-    cfg = {"command": command, "version": __version__}
+def _run_config(args, symbol_label: str | None) -> dict:
+    """Every parsed option that holds a value, defaults included; the symbol
+    options appear as ``symbol``."""
+    cfg = {k: v for k, v in vars(args).items()
+           if v is not None and k not in ("fn", "spec", "catalog")}
+    cfg["version"] = __version__
     if symbol_label is not None:
         cfg["symbol"] = symbol_label
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
-    if getattr(args, "out", None):
-        cfg["out"] = str(args.out)
     return cfg
 
 
@@ -159,8 +151,7 @@ def _run_config(args, command: str, symbol_label: str | None) -> dict:
 def _emit(args, config: dict, data_obj, csv_rows, counters=None) -> str:
     """Serialize a report: stable data section; timestamp and work counters
     only in the header."""
-    fmt = getattr(args, "format", None) or "json"
-    if fmt == "json":
+    if args.format == "json":
         header = {"run_config": config, "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
         if counters is not None:
             header["counters"] = counters
@@ -173,9 +164,8 @@ def _emit(args, config: dict, data_obj, csv_rows, counters=None) -> str:
         for row in csv_rows:
             lines.append(",".join(str(c) for c in row))
         text = "\n".join(lines) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return text
@@ -210,20 +200,17 @@ def _jsonable(v):
 def cmd_check(args) -> int:
     sym, label = _resolve_symbol(args)
     if isinstance(sym, ContinuousSymbol):
-        jmin = args.jmin if args.jmin is not None else -7
-        jmax = args.jmax if args.jmax is not None else 7
-        report = check_continuous(sym, (jmin, jmax))
+        report = check_continuous(sym, (args.jmin, args.jmax))
     else:
-        d = sym.d
-        base = (_parse_base_range(args.base_range, d) if args.base_range
-                else Box.cube(-8, 8, d))
-        if args.alpha or d > 2:
-            report = check_dd(sym, args.kmax or 4, base)
-        elif d == 1:
-            report = check_1d(sym, args.nmax or 8, base)
+        base = _parse_base_range(args.base_range, sym.d)
+        if sym.d == 1 and not args.alpha:
+            report = check_1d(sym, args.nmax, base)
         else:
-            report = check_2d(sym, args.kmax or 5, base)
-    config = _run_config(args, "check", label)
+            checker = check_dd if args.alpha or sym.d > 2 else check_2d
+            if args.kmax is None:
+                args.kmax = 4 if checker is check_dd else 5
+            report = checker(sym, args.kmax, base)
+    config = _run_config(args, label)
     data = report.as_dict()
     data["headline"] = headline = report.headline
     _emit(args, config, data, report.csv_rows())
@@ -258,15 +245,15 @@ def _random_matrix(rng, window: Box) -> LabeledMatrix:
 
 
 def cmd_verify(args) -> int:
-    trials = args.trials if args.trials is not None else 200
-    if trials == 0:
-        config = _run_config(args, "verify", None)
+    if args.trials < 0:
+        raise CliError("--trials must be >= 0")
+    if args.trials == 0:
+        config = _run_config(args, None)
         data = {"suites": [], "warning": "0 trials requested: vacuous pass"}
         _emit(args, config, data, [["suite", "trials", "max_residual", "pass"],
                                    ["(none)", 0, 0.0, True]])
         sys.stderr.write("warning: --trials 0 gives a vacuous pass\n")
         return 0
-    seed = args.seed if args.seed is not None else 0
     tol = 1e-10
     suites = {
         "multiplier_transfer": 0.0,
@@ -275,8 +262,8 @@ def cmd_verify(args) -> int:
         "difference_reconstruction": 0.0,
         "operator_cauchy_schwarz": 0.0,
     }
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
+    for t in range(args.trials):
+        rng = np.random.default_rng([args.seed, t])
         d = 1 if t % 2 == 0 else 2
         side = int(rng.integers(2, 5))
         lo = int(rng.integers(-3, 1))
@@ -344,10 +331,10 @@ def cmd_verify(args) -> int:
         res = float(res)
         passed = res <= tol
         ok = ok and passed
-        rows.append([name, trials, repr(res), passed])
-        data_suites.append({"suite": name, "trials": trials,
+        rows.append([name, args.trials, repr(res), passed])
+        data_suites.append({"suite": name, "trials": args.trials,
                             "max_residual": res, "pass": passed})
-    config = _run_config(args, "verify", None)
+    config = _run_config(args, None)
     _emit(args, config, {"suites": data_suites, "tolerance": tol}, rows)
     return 0 if ok else 1
 
@@ -363,20 +350,19 @@ def cmd_estimate(args) -> int:
     sym, label = _resolve_symbol(args)
     if isinstance(sym, ContinuousSymbol):
         raise CliError("estimate needs a discrete symbol; discretize it first")
-    p_list = _parse_p_list(args.p or "2")
-    n_list = _parse_n_list(args.n or "8")
-    seed = args.seed if args.seed is not None else 0
-    amp = args.amp or 1
-    budget = {"restarts": args.restarts or 10, "iterations": args.iters or 200}
+    p_list = _parse_p_list(args.p)
+    n_list = _parse_n_list(args.n)
+    budget = {"restarts": args.restarts, "iterations": args.iters}
     rows = []
     counters = {f"line_search_{key}": 0 for key in LINE_SEARCH_COUNTS}
     for tok, p in p_list:
         for N in n_list:
-            res = cb_lower_bound(sym, Box.cube(-N, N, sym.d), p, amp, budget=budget, seed=seed)
+            res = cb_lower_bound(sym, Box.cube(-N, N, sym.d), p, args.amp, budget=budget,
+                                 seed=args.seed)
             rows.append(_estimate_row(sym, label, tok, N, res, budget["iterations"]))
             for key, n in res.flags["line_search"].items():
                 counters[f"line_search_{key}"] += n
-    config = _run_config(args, "estimate", label)
+    config = _run_config(args, label)
     _emit(args, config, {"rows": rows}, _estimate_csv(rows), counters)
     if args.threshold is not None and any(r["estimate"] > args.threshold for r in rows):
         return 1
@@ -387,16 +373,15 @@ def cmd_growth(args) -> int:
     sym, label = _resolve_symbol(args)
     if isinstance(sym, ContinuousSymbol):
         raise CliError("growth needs a discrete symbol; discretize it first")
-    p_list = _parse_p_list(args.p or "4/3,2,4")
-    n_list = _parse_n_list(args.n or "16,32,64")
-    seed = args.seed if args.seed is not None else 0
-    budget = {"restarts": args.restarts or 4, "iterations": args.iters or 100}
+    p_list = _parse_p_list(args.p)
+    n_list = _parse_n_list(args.n)
+    budget = {"restarts": args.restarts, "iterations": args.iters}
     rows = growth_experiment(sym, [p for _, p in p_list], n_list,
-                             budget=budget, seed=seed)
+                             budget=budget, seed=args.seed)
     tokens = {float(p): tok for tok, p in p_list}
     for r in rows:
         r["p"] = tokens.get(float(r["p"]), str(r["p"]))
-    config = _run_config(args, "growth", label)
+    config = _run_config(args, label)
     _emit(args, config, {"rows": rows}, _estimate_csv(rows))
 
     # gnuplot-ready companion next to the report, one indexed block per p
@@ -425,18 +410,12 @@ def cmd_discretize(args) -> int:
     if not args.out:
         raise CliError("discretize requires --out for the report (the symbol "
                        "spec is written next to it)")
-    k = args.scale if args.scale is not None else 4
-    window = (_parse_base_range(args.base_range, 1) if args.base_range
-              else Box.interval(-34, 35))
-    nmax = args.nmax or 5
-    jmin = args.jmin if args.jmin is not None else -7
-    jmax = args.jmax if args.jmax is not None else 7
-    tol = args.threshold if args.threshold is not None else 1e-6
+    window = _parse_base_range(args.base_range, 1)
+    tol = args.threshold
 
-    mk = discretize_continuous(sym, k, window)
-    cont = check_continuous(sym, (jmin, jmax))
-    base = Box.interval(-2, 2)
-    disc = check_1d(mk, nmax, base)
+    mk = discretize_continuous(sym, args.scale, window)
+    cont = check_continuous(sym, (args.jmin, args.jmax))
+    disc = check_1d(mk, args.nmax, Box.interval(-2, 2))
 
     table = mk.values_on(window, window)
     spec_obj = {
@@ -452,7 +431,7 @@ def cmd_discretize(args) -> int:
     symbol_path.write_text(json.dumps(spec_obj, sort_keys=True))
 
     data = {
-        "scale": k,
+        "scale": args.scale,
         "window": [int(window.los[0]), int(window.his[0])],
         "continuous_A": cont.a_const,
         "discrete": disc.as_dict(),
@@ -465,7 +444,7 @@ def cmd_discretize(args) -> int:
             ["discrete_C2", repr(disc.c2)],
             ["within_block_sup", repr(disc.within_block_sup)],
             ["transfer_margin", repr(data["transfer_margin"])]]
-    config = _run_config(args, "discretize", label)
+    config = _run_config(args, label)
     _emit(args, config, data, rows)
     return 0 if disc.within_block_sup <= cont.a_const + tol else 1
 
@@ -476,7 +455,7 @@ def cmd_catalog(args) -> int:
         sym = catalog(name)
         kind = "continuous" if isinstance(sym, ContinuousSymbol) else sym.kind
         entries.append({"name": name, "kind": kind, "d": sym.d})
-    config = _run_config(args, "catalog", None)
+    config = _run_config(args, None)
     rows = [["name", "kind", "d"]] + [[e["name"], e["kind"], e["d"]] for e in entries]
     _emit(args, config, {"symbols": entries}, rows)
     return 0
@@ -486,25 +465,27 @@ def cmd_catalog(args) -> int:
 # wiring
 
 
-def _common(p, symbol=True):
+def _common(p, symbol=True, threshold="exit 1 when the headline quantity exceeds this"):
+    """--out and --format; with ``symbol``, --spec, --catalog, --seed and
+    --threshold (help ``threshold``)."""
+    p.add_argument("--out", help="output file (default: stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     if symbol:
         p.add_argument("--spec", help="path to a symbol spec (JSON)")
         p.add_argument("--catalog", help="built-in symbol name")
-    p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None,
-                   help="exit 1 when the headline quantity exceeds this")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--threshold", type=float, help=threshold)
 
 
 def _check_args(p):
     _common(p)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--jmin", type=int, default=None)
-    p.add_argument("--jmax", type=int, default=None)
-    p.add_argument("--base-range", dest="base_range", default=None,
-                   help="lo:hi[,lo:hi...] base points")
+    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--kmax", type=int,
+                   help="default 5 for check_2d, 4 for check_dd")
+    p.add_argument("--jmin", type=int, default=-7)
+    p.add_argument("--jmax", type=int, default=7)
+    p.add_argument("--base-range", dest="base_range", default="-8:8",
+                   help="lo:hi[,lo:hi...] base points; one pair applies to every axis")
     p.add_argument("--alpha", action="store_true",
                    help="force the anchored mixed-difference checker")
     p.set_defaults(fn=cmd_check)
@@ -512,7 +493,8 @@ def _check_args(p):
 
 def _verify_args(p):
     _common(p, symbol=False)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=200)
     p.add_argument("--inject-fault", dest="inject_fault",
                    action="store_true",
                    help="test hook: plant one wrong coefficient")
@@ -521,34 +503,35 @@ def _verify_args(p):
 
 def _estimate_args(p):
     _common(p)
-    p.add_argument("--p", default=None, help="comma list; rationals as a/b")
-    p.add_argument("--n", default=None, help="comma list of window radii")
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--amp", type=int, default=None,
+    p.add_argument("--p", default="2", help="comma list; rationals as a/b")
+    p.add_argument("--n", default="8", help="comma list of window radii")
+    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--amp", type=int, default=1,
                    help="block amplification k")
     p.set_defaults(fn=cmd_estimate)
 
 
 def _growth_args(p):
     _common(p)
-    p.add_argument("--p", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--p", default="4/3,2,4")
+    p.add_argument("--n", default="16,32,64")
+    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--iters", type=int, default=100)
     p.set_defaults(fn=cmd_growth)
 
 
 def _discretize_args(p):
-    _common(p)
-    p.add_argument("--scale", type=int, default=None,
+    _common(p, threshold="transfer tolerance: exit 1 when the discrete within-block "
+                         "sup exceeds the continuous A by more than this (default 1e-6)")
+    p.add_argument("--scale", type=int, default=4,
                    help="dyadic scale k (cells of width 2^-k)")
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--jmin", type=int, default=None)
-    p.add_argument("--jmax", type=int, default=None)
-    p.add_argument("--base-range", dest="base_range", default=None,
+    p.add_argument("--nmax", type=int, default=5)
+    p.add_argument("--jmin", type=int, default=-7)
+    p.add_argument("--jmax", type=int, default=7)
+    p.add_argument("--base-range", dest="base_range", default="-34:35",
                    help="window lo:hi for the dense table")
-    p.set_defaults(fn=cmd_discretize)
+    p.set_defaults(fn=cmd_discretize, threshold=1e-6)
 
 
 def _catalog_args(p):
@@ -597,16 +580,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except QuadratureError as exc:
         sys.stderr.write(f"quadrature error: {exc}\n")
         return 2
-    except (WindowCapError, SymbolError) as exc:
+    except SymbolError as exc:
         sys.stderr.write(f"symbol error: {exc}\n")
         return 2
     except (ValueError, OSError) as exc:

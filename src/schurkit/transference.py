@@ -40,10 +40,6 @@ __all__ = [
 ]
 
 
-def _askey(n, d):
-    return tuple(int(v) for v in aspoint(n, d))
-
-
 def _lex_unique(pts):
     """The distinct rows of an (m, d) integer array in lexicographic order,
     and each row's index among them; np.unique(pts, axis=0,
@@ -77,7 +73,7 @@ class MatTrigPoly:
         d = int(d)
         clean = {}
         for n, A in coeffs.items():
-            key = _askey(n, d)
+            key = aspoint(n, d)
             if not isinstance(A, LabeledMatrix):
                 raise TypeError("coefficients must be LabeledMatrix values")
             if rows is None:
@@ -139,7 +135,7 @@ class MatTrigPoly:
         return out
 
     def coeff(self, n) -> LabeledMatrix:
-        hit = np.flatnonzero((self._sup == np.asarray(_askey(n, self.d))).all(axis=1))
+        hit = np.flatnonzero((self._sup == np.asarray(aspoint(n, self.d))).all(axis=1))
         if not hit.size:
             return LabeledMatrix.zeros(self.rows, self.cols)
         return self._dense(int(hit[0]))

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +55,46 @@ class TestParserBuild:
         assert built == ["estimate", *cli._COMMANDS]
 
 
+def _load_data_diff():
+    path = Path(__file__).resolve().parents[1] / "tools" / "data_diff.py"
+    spec = importlib.util.spec_from_file_location("data_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the command list that tools/data_diff.py runs through two checkouts
+DATA_DIFF = _load_data_diff()
+
+
+class TestRunConfig:
+    """The header's run_config is the parsed namespace: every declared option
+    with its resolved value, the symbol options as ``symbol``."""
+
+    @pytest.mark.parametrize("argv", [argv for argv in DATA_DIFF.COMMANDS
+                                      if "continuous_2d_defect.json" not in argv], ids=" ".join)
+    def test_every_declared_option_is_recorded(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, spec in DATA_DIFF.SPECS.items():
+            (tmp_path / name).write_text(json.dumps(spec))
+        argv = argv + ["--out", "report.json"]
+        assert main(argv) in (0, 1)
+        body = json.loads((tmp_path / "report.json").read_text())
+        config = body["header"]["run_config"]
+        declared = vars(cli._build_parser(argv[0]).parse_args(argv))
+        del declared["fn"]
+        name, spec = declared.pop("catalog", None), declared.pop("spec", None)
+        assert config.pop("symbol", None) == (f"catalog:{name}" if name
+                                              else spec and f"spec:{spec}")
+        assert config.pop("version") == cli.__version__
+        unset = {k for k, v in declared.items() if v is None}
+        assert unset <= {"threshold", "out", "kmax"}
+        if argv[0] == "check" and declared["kmax"] is None:
+            # resolved by the checker that reads it: 5 for check_2d, 4 for check_dd
+            assert config.pop("kmax", None) == {"2d": 5, "dd": 4}.get(body["data"]["kind"])
+        assert config == {k: v for k, v in declared.items() if v is not None}
+
+
 class TestCatalog:
     def test_lists_symbols(self, capsys):
         assert main(["catalog"]) == 0
@@ -90,12 +132,19 @@ class TestCheck:
         assert main(["check", "--catalog", "nope"]) == 2
         assert "valid:" in capsys.readouterr().err
 
-    def test_dimension_option_rejected(self, capsys):
+    @pytest.mark.parametrize("argv", [
         # the symbol fixes the dimension; there is no --d to disagree with it
+        ["check", "--catalog", "triangular", "--d", "2"],
+        # no handler reads these, so no parser declares them
+        ["catalog", "--seed", "1"],
+        ["catalog", "--threshold", "0"],
+        ["verify", "--threshold", "1"],
+    ], ids=" ".join)
+    def test_undeclared_option_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["check", "--catalog", "triangular", "--d", "2"])
+            main(argv)
         assert exc.value.code == 2
-        assert "--d" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_bad_base_range(self, capsys):
         rc = main(["check", "--catalog", "triangular", "--base-range", "abc"])
@@ -132,6 +181,11 @@ class TestCheck:
         assert data["truncation"]["bases"] == 4096
         assert len(data["table"]) == 7 * 2 * 4
         assert all(r["base"] == [-8, -8, -8] for r in data["table"])
+
+    def test_alpha_and_the_resolved_kmax_reach_the_header(self, capsys):
+        assert main(["check", "--catalog", "triangular", "--alpha", "--base-range=-2:2"]) == 0
+        config = _json_out(capsys)["header"]["run_config"]
+        assert (config["alpha"], config["kmax"]) == (True, 4)
 
     def test_continuous_symbol_routes_to_derivative_check(self, capsys):
         rc = main(["check", "--catalog", "continuous_arctan",
@@ -309,13 +363,41 @@ class TestEstimate:
         assert [ln for ln in lines if ln.startswith("# counters.")] == [
             f"# counters.{k}={sums[k]}" for k in sorted(sums)]
 
-    def test_negative_amplification_rejected(self, capsys):
-        # every estimate goes through cb_lower_bound, which rejects k < 1
-        # instead of reporting an unamplified row labelled k_amp = -1
-        rc = main(["estimate", "--catalog", "triangular", "--p", "4",
-                   "--n", "2", "--amp", "-1"])
-        assert rc == 2
-        assert "amplification" in capsys.readouterr().err
+    OUT_OF_RANGE = [
+        (["estimate", "--catalog", "triangular", "--restarts", "0"],
+         "budget needs restarts >= 1"),
+        (["estimate", "--catalog", "triangular", "--amp", "0"], "amplification k must be >= 1"),
+        (["estimate", "--catalog", "triangular", "--amp", "-1"], "amplification k must be >= 1"),
+        (["estimate", "--catalog", "triangular", "--p", ""], "empty p list"),
+        (["check", "--catalog", "triangular", "--nmax", "0"], "N_max must be >= 1"),
+        (["check", "--spec", "toeplitz_2d.json", "--kmax", "0"], "k_max must be >= 1"),
+        # no trial runs, yet every suite would pass without the 0-trials warning
+        (["verify", "--trials", "-1"], "--trials must be >= 0"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
+                             ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+    def test_out_of_range_value_rejected(self, argv, message, tmp_path, monkeypatch, capsys):
+        # a 0 or an empty list is the value the run uses, not a request for
+        # the default: it fails a check, the library's own where it has one,
+        # instead of running, say, an unamplified row labelled k_amp = 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "toeplitz_2d.json").write_text(json.dumps(
+            TestReportEncoding.SPECS["toeplitz_2d"]))
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_iterations_run_no_ascent_step(self, capsys):
+        assert main(["estimate", "--catalog", "triangular", "--p", "4,3", "--n", "4",
+                     "--iters", "0"]) == 0
+        rows = _json_out(capsys)["data"]["rows"]
+        assert [(r["iterations_budget"], r["iterations_used"]) for r in rows] == [(0, 0)] * 2
+
+    def test_defaults_reach_the_header(self, capsys):
+        assert main(["estimate", "--catalog", "triangular"]) == 0
+        config = _json_out(capsys)["header"]["run_config"]
+        assert {k: config[k] for k in ("p", "n", "restarts", "iters", "amp", "seed")} == {
+            "p": "2", "n": "8", "restarts": 10, "iters": 200, "amp": 1, "seed": 0}
 
     def test_continuous_symbol_rejected(self, capsys):
         rc = main(["estimate", "--catalog", "continuous_arctan"])

@@ -76,6 +76,18 @@ COMMANDS = [
      "--restarts", "2", "--iters", "20"],
     ["verify", "--trials", "6", "--seed", "1"],
     ["catalog"],
+    # every option left at its parser default
+    ["check", "--catalog", "triangular"],
+    ["check", "--catalog", "lacunary_toeplitz"],
+    ["check", "--spec", "toeplitz_2d.json"],
+    ["check", "--spec", "toeplitz_3d.json"],
+    ["check", "--spec", "callback_2d.json"],
+    ["check", "--catalog", "continuous_arctan"],
+    ["estimate", "--catalog", "smooth_homogeneous", "--p", "4"],
+    ["discretize", "--catalog", "continuous_ratio"],
+    ["verify"],
+    # a bare growth takes ten seconds; --n keeps the other defaults
+    ["growth", "--catalog", "triangular", "--n", "4,8"],
 ]
 
 FORMATS = ("json", "csv")
