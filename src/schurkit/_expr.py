@@ -1,13 +1,26 @@
 """Tiny arithmetic expression language for symbols loaded from files.
 
-Grammar: + - * / (also the unicode times/divide signs), ^ or ** for powers,
-parenthesized calls of abs, sign, exp, sin, cos, sqrt, log, arctan, conj,
-re, im and variadic min/max, numeric literals with an optional imaginary
-suffix i/j, the constants pi, i, j, and whatever variable names the caller
-allows.  Everything evaluates in complex128 and broadcasts over numpy arrays.
+Grammar: + - * / (also the unicode times/divide signs ×, ÷), ^ or ** for
+powers (right-associative, and tighter than a sign on their left), a unary
++ or -, parentheses, calls of abs, sign, exp, sin, cos, sqrt, log, arctan,
+conj, re, im (one argument each) and min, max (two or more), numeric
+literals such as 7, 007, 2.5, .5, 1e-3 or 1.5E+2 with an optional imaginary
+suffix i or j, the constants pi, e, i and j, and whatever variable names
+the caller allows. Everything evaluates in complex128 and broadcasts over
+numpy arrays.
+
+Python's parser reads the text into a tree (``ast.parse`` runs nothing); a
+whitelist walk over that tree checks it and builds the evaluator from
+closures. Every error is a :class:`ParseError` with an offset into the
+original text.
 """
 
 from __future__ import annotations
+
+import ast
+import operator
+import re
+import warnings
 
 import numpy as np
 
@@ -40,206 +53,33 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": complex(np.pi), "i": 1j, "j": 1j, "e": complex(np.e)}
 
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < n and text[pos + 1].isdigit()):
-            start = pos
-            while pos < n and (text[pos].isdigit() or text[pos] == "."):
-                pos += 1
-            # scientific exponent
-            if pos < n and text[pos] in "eE" and pos + 1 < n and (
-                text[pos + 1].isdigit() or (text[pos + 1] in "+-" and pos + 2 < n and text[pos + 2].isdigit())
-            ):
-                pos += 2
-                while pos < n and text[pos].isdigit():
-                    pos += 1
-            imag = False
-            if pos < n and text[pos] in "ij" and not (pos + 1 < n and (text[pos + 1].isalnum() or text[pos + 1] == "_")):
-                imag = True
-                pos += 1
-            lit = text[start : pos - 1] if imag else text[start:pos]
-            try:
-                value = float(lit)
-            except ValueError:
-                raise ParseError(f"bad numeric literal '{text[start:pos]}'", start) from None
-            tokens.append(("num", 1j * value if imag else complex(value), start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(("name", text[start:pos], start))
-            continue
-        if text.startswith("**", pos):
-            tokens.append(("op", "^", pos))
-            pos += 2
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        if ch == "×":
-            tokens.append(("op", "*", pos))
-            pos += 1
-            continue
-        if ch == "÷":
-            tokens.append(("op", "/", pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character '{ch}'", pos)
-    tokens.append(("end", None, n))
-    return tokens
+_LITERAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?:[ij](?!\w))?"
+_TOKEN = re.compile(rf"(?P<name>[A-Za-z_]\w*)|(?P<zeros>(?:0(?=\d))*)(?P<literal>{_LITERAL})",
+                    re.ASCII)
+_SPELLINGS = str.maketrans("×÷", "*/")
+_OUTSIDE = re.compile(r"[^0-9A-Za-z_.+\-*/^(), ]")
+_CLOSING = re.compile(r"[ )]*")
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected '{op}'", pos)
-        self.next()
-
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input '{val}'", pos)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = ("bin", val, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                node = ("bin", val, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            node = self.unary()
-            return node if val == "+" else ("neg", node)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            return ("bin", "^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            k, v, _ = self.peek()
-            if k == "op" and v == "(":
-                self.next()
-                args = [self.expr()]
-                while True:
-                    k2, v2, p2 = self.peek()
-                    if k2 == "op" and v2 == ",":
-                        self.next()
-                        args.append(self.expr())
-                    elif k2 == "op" and v2 == ")":
-                        self.next()
-                        break
-                    else:
-                        raise ParseError("expected ',' or ')'", p2)
-                if val not in _FUNCTIONS:
-                    raise ParseError(f"unknown function '{val}'", pos)
-                arity = _FUNCTIONS[val][0]
-                if arity is not None and len(args) != arity:
-                    raise ParseError(f"'{val}' takes {arity} argument(s)", pos)
-                if arity is None and len(args) < 2:
-                    raise ParseError(f"'{val}' needs at least 2 arguments", pos)
-                return ("call", val, args)
-            return ("var", val, pos)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        where = "end of input" if kind == "end" else f"'{val}'"
-        raise ParseError(f"expected operand, found {where}", pos)
+def _divide(left, right):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.asarray(left, dtype=complex) / right
 
 
-def _free_vars(node, acc):
-    tag = node[0]
-    if tag == "var":
-        acc.append((node[1], node[2]))
-    elif tag == "neg":
-        _free_vars(node[1], acc)
-    elif tag == "bin":
-        _free_vars(node[2], acc)
-        _free_vars(node[3], acc)
-    elif tag == "call":
-        for arg in node[2]:
-            _free_vars(arg, acc)
+def _power(left, right):
+    with np.errstate(invalid="ignore"):
+        return np.asarray(left, dtype=complex) ** right
 
 
-def _evaluate(node, env):
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "var":
-        name = node[1]
-        if name in env:
-            return env[name]
-        return _CONSTANTS[name]
-    if tag == "neg":
-        return -_evaluate(node[1], env)
-    if tag == "bin":
-        op = node[1]
-        left = _evaluate(node[2], env)
-        right = _evaluate(node[3], env)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.asarray(left, dtype=complex) / right
-        with np.errstate(invalid="ignore"):
-            return np.asarray(left, dtype=complex) ** right
-    fn = _FUNCTIONS[node[1]][1]
-    return fn(*(np.asarray(_evaluate(a, env), dtype=complex) for a in node[2]))
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: _divide, ast.Pow: _power}
+
+
+def _as_python(token):
+    """A literal as Python spells it: leading zeros blanked, suffix i as j."""
+    if token["name"]:
+        return token["name"]
+    return " " * len(token["zeros"]) + token["literal"].replace("i", "j")
 
 
 def compile_expr(text, variables):
@@ -249,17 +89,67 @@ def compile_expr(text, variables):
     :class:`ParseError` with their position.  Division by zero yields
     non-finite values for the caller's guard policy to handle.
     """
-    node = _Parser(text).parse()
-    seen = []
-    _free_vars(node, seen)
+    # the length of ``text``, on one line and in ASCII: ast's columns, UTF-8
+    # bytes into a line, are then offsets into ``text``
+    flat = re.sub(r"\s", " ", text).translate(_SPELLINGS)
+    bad = _OUTSIDE.search(flat)
+    if bad:
+        raise ParseError(f"unexpected character '{text[bad.start()]}'", bad.start())
+    spelled = _TOKEN.sub(_as_python, flat)
+    # each ^ becomes **: offset k of ``body`` is offset back[lead + k] of ``text``
+    back = sorted([*range(len(text) + 1), *(m.start() for m in re.finditer(r"\^", spelled))])
+    body = spelled.replace("^", "**").lstrip()
+    lead = len(back) - 1 - len(body)
+    try:
+        # a warning such as "invalid decimal literal" (from "1if") is raised
+        # as the SyntaxError it describes instead of printed to stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = ast.parse(body, mode="eval").body
+    except SyntaxError as err:
+        column = min(max((err.offset or 1) - 1, 0), len(body))
+        raise ParseError(err.msg, back[lead + column]) from None
     allowed = set(variables) | set(_CONSTANTS)
-    for name, pos in seen:
-        if name not in allowed:
-            raise ParseError(f"unbound variable '{name}'", pos)
 
-    def fn(env):
-        return np.asarray(_evaluate(node, env), dtype=complex)
+    def build(node):
+        start = back[lead + node.col_offset]
+        source = text[start:back[lead + node.end_col_offset]]
+        if isinstance(node, ast.Name):
+            name = node.id
+            if name not in allowed:
+                raise ParseError(f"unbound variable '{name}'", start)
+            return lambda env: env[name] if name in env else _CONSTANTS[name]
+        if isinstance(node, ast.Constant) and re.fullmatch(_LITERAL, source):
+            value = 1j * float(source[:-1]) if source[-1] in "ij" else complex(float(source))
+            return lambda env: value
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            operand = build(node.operand)
+            return operand if isinstance(node.op, ast.UAdd) else lambda env: -operand(env)
+        if isinstance(node, ast.BinOp):
+            op = _OPERATORS.get(type(node.op))
+            if op is None:
+                at = _CLOSING.match(body, node.left.end_col_offset).end()
+                raise ParseError("operator outside the grammar", back[lead + at])
+            left, right = build(node.left), build(node.right)
+            return lambda env: op(left(env), right(env))
+        # name(arg, ...) alone: no keyword, no parenthesized or computed
+        # callee, no trailing comma
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and not node.keywords
+                and body[node.func.end_col_offset:].lstrip().startswith("(")
+                and "," not in body[(node.args or [node.func])[-1].end_col_offset:
+                                    node.end_col_offset]):
+            name = node.func.id
+            if name not in _FUNCTIONS:
+                raise ParseError(f"unknown function '{name}'", start)
+            arity, fn = _FUNCTIONS[name]
+            if arity is not None and len(node.args) != arity:
+                raise ParseError(f"'{name}' takes {arity} argument(s)", start)
+            if arity is None and len(node.args) < 2:
+                raise ParseError(f"'{name}' needs at least 2 arguments", start)
+            args = [build(arg) for arg in node.args]
+            return lambda env: fn(*(np.asarray(arg(env), dtype=complex) for arg in args))
+        raise ParseError(f"'{source}' is outside the grammar", start)
 
-    fn.variables = sorted({name for name, _ in seen if name in set(variables)})
-    fn.source = text
-    return fn
+    evaluate = build(tree)
+    return lambda env: np.asarray(evaluate(env), dtype=complex)

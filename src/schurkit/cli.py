@@ -465,6 +465,14 @@ def cmd_catalog(args) -> int:
 # wiring
 
 
+def _seed(text: str) -> int:
+    """--seed as numpy's generators take it: a non-negative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _common(p, symbol=True, threshold="exit 1 when the headline quantity exceeds this"):
     """--out and --format; with ``symbol``, --spec, --catalog, --seed and
     --threshold (help ``threshold``)."""
@@ -473,7 +481,7 @@ def _common(p, symbol=True, threshold="exit 1 when the headline quantity exceeds
     if symbol:
         p.add_argument("--spec", help="path to a symbol spec (JSON)")
         p.add_argument("--catalog", help="built-in symbol name")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--threshold", type=float, help=threshold)
 
 
@@ -493,7 +501,7 @@ def _check_args(p):
 
 def _verify_args(p):
     _common(p, symbol=False)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--inject-fault", dest="inject_fault",
                    action="store_true",

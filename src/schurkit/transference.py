@@ -125,9 +125,6 @@ class MatTrigPoly:
     def support(self):
         return [tuple(n) for n in self._sup.tolist()]
 
-    def support_array(self) -> np.ndarray:
-        return self._sup.copy()
-
     def _dense(self, i: int) -> LabeledMatrix:
         a, b = np.searchsorted(self._fi, [i, i + 1])
         out = LabeledMatrix.zeros(self.rows, self.cols)
@@ -606,15 +603,6 @@ class LpReport:
         }
 
 
-def _levels_for(f: MatTrigPoly):
-    sup = f.support_array()
-    if len(sup) == 0:
-        return [0]
-    top = int(np.abs(sup).max())
-    jmax = 0 if top == 0 else top.bit_length()
-    return list(range(0, jmax + 1))
-
-
 def lp_experiment(f: MatTrigPoly, p: float, grid: QuadratureGrid | None = None,
                   rectangles=None) -> LpReport:
     """Measure how block and cutoff square functions compare to the norm.
@@ -631,7 +619,7 @@ def lp_experiment(f: MatTrigPoly, p: float, grid: QuadratureGrid | None = None,
         raise ValueError("square-function ratios need finite p")
     if grid is None:
         grid = QuadratureGrid.default_for(f, p)
-    levels = _levels_for(f)
+    levels = list(range(f.max_freq().bit_length() + 1))
 
     # Norm through the same evaluation path as the square functions, so a
     # single-block polynomial gives ratio 1.0 with no rounding gap at all.

@@ -146,6 +146,19 @@ class TestCheck:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # p = 2 runs no seeded start, so numpy never sees the seed
+        ["estimate", "--catalog", "triangular"],
+        ["check", "--catalog", "lacunary_toeplitz"],
+        ["growth", "--catalog", "triangular", "--n", "4"],
+        ["verify"],
+    ], ids=" ".join)
+    def test_negative_seed_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+
     def test_bad_base_range(self, capsys):
         rc = main(["check", "--catalog", "triangular", "--base-range", "abc"])
         assert rc == 2

@@ -283,6 +283,116 @@ class TestLoadSymbol:
             load_symbol({"kind": "toeplitz", "d": 1, "phi": "q7"})
 
 
+def _pow(base, exponent):
+    return np.asarray(base, dtype=complex) ** exponent
+
+
+class TestExpressionGrammar:
+    """Each accepted expression against the same formula written in numpy, bit for
+    bit; each rejected one raises ParseError at its offset. Literals are complex,
+    so exponents are written as complex numbers here too."""
+
+    K1 = np.array([-2.5, -1.0, 0.5, 1.0, 3.0]).astype(complex)
+    K2 = np.array([1.5, -0.5, 2.0, 4.0, -3.0]).astype(complex)
+
+    ACCEPTED = [
+        ("k1 + k2 - 3*k1 / 2", lambda a, b: a + b - 3 * a / 2),
+        ("k1 × k2 ÷ 4", lambda a, b: a * b / 4),
+        ("k1^2 + k2**3", lambda a, b: _pow(a, 2 + 0j) + _pow(b, 3 + 0j)),
+        ("2^3^2 + 2**k1**2", lambda a, b: _pow(2, _pow(3, 2 + 0j)) + _pow(2, _pow(a, 2 + 0j))),
+        ("-k1^2 + 2^-k2", lambda a, b: -_pow(a, 2 + 0j) + _pow(2, -b)),
+        ("+k1 - -k2 * -k1", lambda a, b: a - -b * -a),
+        ("2i*k1 + 3j - 1.5i + 2.5e-1j*k2 + 1E2i", lambda a, b: 2j * a + 3j - 1.5j + 0.25j * b + 100j),
+        ("007*k1 + 00.5 + .5 + 1. + 2e3 + 1.5E+2", lambda a, b: 7 * a + 0.5 + 0.5 + 1.0 + 2000.0 + 150.0),
+        ("abs(k1) + sign(k2)", lambda a, b: np.abs(a) + np.sign(b)),
+        ("exp(1i*k1) + sin(k1) + cos(k2)", lambda a, b: np.exp(1j * a) + np.sin(a) + np.cos(b)),
+        ("sqrt(k1) + log(k2) + arctan(k1)", lambda a, b: np.sqrt(a) + np.log(b) + np.arctan(a)),
+        ("conj(k1 + 2i) + re(k2*(1 + 2i)) + im(k1*(1 - 2i))",
+         lambda a, b: np.conj(a + 2j) + np.real(b * (1 + 2j)) + np.imag(a * (1 - 2j))),
+        ("min(k1, k2, k1*k2) + max(k1, k2, k1*k2)",
+         lambda a, b: np.minimum(np.minimum(a.real, b.real), (a * b).real).astype(complex)
+         + np.maximum(np.maximum(a.real, b.real), (a * b).real).astype(complex)),
+        ("pi*k1 + e - i*k2 + j", lambda a, b: np.pi * a + np.e - 1j * b + 1j),
+        ("\n  (k1 +\n   k2) / (k2 - 1)\n", lambda a, b: (a + b) / (b - 1)),
+    ]
+
+    # (expression, offset): the exact offset where the grammar itself rejects
+    # the text, None where CPython's parser does (3.10 and 3.11 word and place
+    # their syntax errors differently, so only "inside the text" is checked)
+    REJECTED = [
+        ("foo(k1)", 0),  # unknown function
+        ("k1 + 2 * bar(k2)", 9),
+        ("abs(k1, k2)", 0),  # arity
+        ("k1 ^ max(k1)", 5),
+        ("max()", 0),
+        ("q7", 0),  # unbound variable
+        ("k1 +\n q7", 6),
+        ("k1 ^ 2 ^ x1", 9),
+        ("abs + k1", 0),
+        ("k1 // 2", 3),  # operator outside the grammar
+        ("(k1) // 2", 5),
+        ("k1^2 // 2", 5),
+        ("k1 % 2", 3),  # character outside the grammar
+        ("k1 < 2", 3),
+        ("k1[0]", 2),
+        ("'a'", 0),
+        ("abs(x=k1)", 5),
+        ("lambda k1: k1", 9),
+        ("k1 # comment", 3),
+        ("k1 \\\n+ 1", 3),
+        ("π*k1", 0),
+        ("k1.real", 0),  # node outside the grammar
+        ("True", 0),
+        ("max(*k1, k2)", 4),
+        ("max(**k1)", 0),
+        ("k1 if k1 else k2", 0),
+        ("not k1", 0),
+        ("k1 and k2", 0),
+        ("k1, k2", 0),
+        ("abs(k1,)", 0),
+        ("(abs)(k1)", 0),
+        ("abs(k1)(k2)", 0),
+        ("1_0", 0),
+        ("0x10", 0),
+        ("1J", 0),
+        ("k1 +", None),  # CPython's syntax errors
+        ("", None),
+        ("cos(", None),
+        ("(k1", None),
+        ("k1) + (k1", None),
+        ("k1 k2", None),
+        ("2k1", None),
+        ("k1 ^^ 2", None),
+        ("1.2.3", None),
+        ("1if k1 else k2", None),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, formula", ACCEPTED, ids=[t for t, _ in ACCEPTED])
+    def test_accepted(self, text, formula):
+        from schurkit._expr import compile_expr
+        got = compile_expr(text, ["k1", "k2"])({"k1": self.K1, "k2": self.K2})
+        want = np.asarray(formula(self.K1, self.K2), dtype=complex)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_accepted_table_calls_every_function(self):
+        from schurkit._expr import _FUNCTIONS
+        called = {name for text, _ in self.ACCEPTED for name in re.findall(r"(\w+)\(", text)}
+        assert called == set(_FUNCTIONS)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, offset", REJECTED, ids=[t for t, _ in REJECTED])
+    def test_rejected(self, text, offset):
+        from schurkit._expr import ParseError, compile_expr
+        with pytest.raises(ParseError) as exc:
+            compile_expr(text, ["k1", "k2"])
+        if offset is None:
+            assert 0 <= exc.value.position <= len(text)
+        else:
+            assert exc.value.position == offset
+
+
 def test_readme_spec_examples_load():
     # every JSON block in the README is a symbol spec that loads and evaluates
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -38,6 +38,13 @@ SPECS = {
                          "phi": "cos(0.7*k1 + 1.1*k2) / (1 + k1*k1 + k2*k2)"},
     "toeplitz_3d.json": {"kind": "toeplitz", "d": 3,
                          "phi": "cos(0.7*k1 - 1.1*k3) / (1 + k1*k1 + k2*k2 + k3*k3)"},
+    # every spelling and function the specs above leave out
+    "spellings_1d.json": {"kind": "callback", "d": 1,
+                          "expr": "conj(exp(0.1i × pi × s1)) × re(exp(0.2i*t1))"
+                                  " + im(exp(0.3i*(s1 - t1))) ÷ (2 + max(s1, t1, -s1) - min(s1, t1, -t1))"
+                                  " + sign(s1 - t1)*sqrt(1 + t1**2) ÷ (e + log(2 + (s1 - t1)**2))"},
+    # a guard puts 0 where 1 / k1 divides by zero
+    "guarded_1d.json": {"kind": "toeplitz", "d": 1, "phi": "1 / k1", "guards": [{"value": 0}]},
     "continuous_2d.json": {"kind": "continuous", "d": 2, "expr": "2 + 0*x1"},
     # a known defect: the 2-d mixed partials are too noisy, and check exits 2
     "continuous_2d_defect.json": {"kind": "continuous", "d": 2,
@@ -56,6 +63,12 @@ COMMANDS = [
     ["check", "--spec", "callback_2d.json", "--kmax", "3", "--base-range=-2:2"],
     ["check", "--spec", "toeplitz_2d.json", "--kmax", "3"],
     ["check", "--spec", "toeplitz_3d.json", "--kmax", "2", "--base-range=-2:2"],
+    ["check", "--spec", "spellings_1d.json"],
+    ["check", "--spec", "guarded_1d.json"],
+    ["estimate", "--spec", "spellings_1d.json", "--p", "4", "--n", "8", "--restarts", "2",
+     "--iters", "20"],
+    ["estimate", "--spec", "guarded_1d.json", "--p", "4", "--n", "8", "--restarts", "2",
+     "--iters", "20"],
     # the mixed-difference checker forced at d = 1, 2 and 3
     ["check", "--catalog", "triangular", "--alpha", "--kmax", "3", "--base-range=-2:2"],
     ["check", "--spec", "callback_2d.json", "--alpha", "--kmax", "2", "--base-range=-2:2"],
