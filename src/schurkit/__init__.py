@@ -9,15 +9,7 @@ cell averages, and searches for windowed norm lower bounds.
 
 __version__ = "0.1.0"
 
-from .lattice import (
-    AlphaMask,
-    Box,
-    DyadicIndex,
-    alpha_merge,
-    dyadic_block_points,
-    forward_difference,
-    fundamental_theorem_expand,
-)
+from .lattice import Box, DyadicIndex, dyadic_block_points, fundamental_theorem_expand
 from .schatten import (
     LabeledMatrix,
     QuadratureGrid,
@@ -68,8 +60,7 @@ from .estimator import (
 
 __all__ = [
     "__version__",
-    "AlphaMask", "Box", "DyadicIndex", "alpha_merge",
-    "dyadic_block_points", "forward_difference", "fundamental_theorem_expand",
+    "Box", "DyadicIndex", "dyadic_block_points", "fundamental_theorem_expand",
     "LabeledMatrix", "QuadratureGrid", "cs_gap", "lp_sp_norm",
     "schatten_norm", "square_function_norm",
     "ContinuousSymbol", "DiscreteSymbol", "SymbolError", "WindowCapError",

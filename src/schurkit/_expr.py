@@ -47,8 +47,10 @@ _FUNCTIONS = {
     "conj": (1, np.conj),
     "re": (1, np.real),
     "im": (1, np.imag),
-    "min": (None, lambda *a: np.minimum.reduce([x.real for x in a]).astype(complex)),
-    "max": (None, lambda *a: np.maximum.reduce([x.real for x in a]).astype(complex)),
+    "min": (None, lambda *a: np.minimum.reduce(np.broadcast_arrays(*(x.real for x in a)))
+            .astype(complex)),
+    "max": (None, lambda *a: np.maximum.reduce(np.broadcast_arrays(*(x.real for x in a)))
+            .astype(complex)),
 }
 
 _CONSTANTS = {"pi": complex(np.pi), "i": 1j, "j": 1j, "e": complex(np.e)}
@@ -120,7 +122,9 @@ def compile_expr(text, variables):
                 raise ParseError(f"unbound variable '{name}'", start)
             return lambda env: env[name] if name in env else _CONSTANTS[name]
         if isinstance(node, ast.Constant) and re.fullmatch(_LITERAL, source):
-            value = 1j * float(source[:-1]) if source[-1] in "ij" else complex(float(source))
+            # complex(0, x), not 1j * x: 1j * inf has the real part 0 * inf = nan
+            value = (complex(0.0, float(source[:-1])) if source[-1] in "ij"
+                     else complex(float(source)))
             return lambda env: value
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             operand = build(node.operand)

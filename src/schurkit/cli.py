@@ -410,6 +410,12 @@ def cmd_discretize(args) -> int:
     if not args.out:
         raise CliError("discretize requires --out for the report (the symbol "
                        "spec is written next to it)")
+    # checked before the discretization, the slowest step, not after it
+    for ok, message in ((args.scale >= 0, "--scale must be >= 0"),
+                        (args.nmax >= 1, "--nmax must be >= 1"),
+                        (args.jmin <= args.jmax, "--jmin must be <= --jmax")):
+        if not ok:
+            raise CliError(message)
     window = _parse_base_range(args.base_range, 1)
     tol = args.threshold
 

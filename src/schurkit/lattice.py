@@ -1,4 +1,4 @@
-"""Dyadic geometry of Z^d and finite-difference calculus on the integer lattice.
+"""Dyadic geometry of Z^d and mixed differences on the integer lattice.
 
 Blocks are half-open in the sup norm throughout: E_0 = {0} and, for j >= 1,
 E_j = { n in Z^d : 2**(j-1) <= |n|_inf < 2**j }.  These sets partition Z^d.
@@ -15,12 +15,9 @@ import numpy as np
 
 __all__ = [
     "Box",
-    "AlphaMask",
     "DyadicIndex",
     "aspoint",
     "dyadic_block_points",
-    "forward_difference",
-    "alpha_merge",
     "fundamental_theorem_expand",
 ]
 
@@ -140,32 +137,6 @@ def _points_array_cached(box):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-class AlphaMask(tuple):
-    """Element of {0,1}^d marking a subset of coordinate directions."""
-
-    def __new__(cls, bits):
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"mask entries must be 0 or 1, got {bits}")
-        return super().__new__(cls, bits)
-
-    @property
-    def d(self):
-        return len(self)
-
-    @property
-    def weight(self):
-        return sum(self)
-
-    @property
-    def axes(self):
-        return tuple(i for i, b in enumerate(self) if b)
-
-    @classmethod
-    def all_masks(cls, d):
-        return [cls(bits) for bits in itertools.product((0, 1), repeat=d)]
-
-
 @dataclass(frozen=True)
 class DyadicIndex:
     """Block index: level j >= 0 in dimension d."""
@@ -196,57 +167,36 @@ def dyadic_block_points(j, d=None):
     return pts[sup >= 2 ** (level - 1)]
 
 
-def _asorder(alpha, d=None):
-    """Normalize a difference order to a tuple of nonnegative ints."""
-    if isinstance(alpha, AlphaMask):
-        order = tuple(alpha)
-    elif np.isscalar(alpha):
-        order = (int(alpha),)
+def _mixed_difference(V, alpha):
+    """Mixed forward differences along the axis mask alpha of a value table V.
+
+    The last len(alpha) axes of V run over consecutive lattice points; any
+    axes before them (a batch of tables) are kept. Entry t of the result is
+    the sum over beta <= alpha of (-1)^|alpha - beta| V[t + beta], the terms
+    added in the order product() lists the beta. Only the axes in alpha
+    shrink, by one, so the differences anchored where a coordinate outside
+    alpha is pinned stay in the table.
+    """
+    betas = list(itertools.product(*[(0, 1) if bit else (0,) for bit in alpha]))
+    sizes = V.shape[V.ndim - len(alpha):]
+
+    def at(beta):
+        return V[(Ellipsis,) + tuple(slice(b, b + n - bit)
+                                     for b, n, bit in zip(beta, sizes, alpha))]
+
+    if len(betas) == 1:
+        return at(betas[0])
+    # the first two terms differ in sign: one subtraction rounds as their sum
+    if (sum(alpha) - sum(betas[0])) % 2:
+        D = at(betas[1]) - at(betas[0])
     else:
-        order = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in order):
-        raise ValueError(f"difference order must be nonnegative, got {order}")
-    if d is not None and len(order) != d:
-        raise ValueError(f"order {order} has dimension {len(order)}, expected {d}")
-    return order
-
-
-def forward_difference(phi, alpha, xi):
-    """Mixed forward difference of a lattice function.
-
-    Expands sum over beta <= alpha of (-1)**|alpha-beta| * C(alpha, beta)
-    * phi(xi + beta).  ``alpha`` may have entries larger than one.
-    """
-    xi = aspoint(xi)
-    order = _asorder(alpha, len(xi))
-    total = 0
-    for beta in itertools.product(*(range(a + 1) for a in order)):
-        sign = (-1) ** (sum(order) - sum(beta))
-        coeff = math.prod(math.comb(a, b) for a, b in zip(order, beta))
-        total += sign * coeff * phi(tuple(x + b for x, b in zip(xi, beta)))
-    return total
-
-
-def alpha_merge(n_alpha, n_rest, alpha):
-    """Point whose ``alpha`` coordinates are ``n_alpha`` and the rest ``n_rest``.
-
-    Both groups are listed in axis order and interleaved as ``alpha`` marks.
-    """
-    mask = AlphaMask(alpha)
-    n_alpha = tuple(n_alpha)
-    n_rest = tuple(n_rest)
-    if len(n_alpha) != mask.weight or len(n_rest) != mask.d - mask.weight:
-        raise ValueError("coordinate group sizes do not match the mask")
-    out = []
-    ia = ir = 0
-    for b in mask:
-        if b:
-            out.append(int(n_alpha[ia]))
-            ia += 1
+        D = at(betas[0]) - at(betas[1])
+    for beta in betas[2:]:
+        if (sum(alpha) - sum(beta)) % 2:
+            D -= at(beta)
         else:
-            out.append(int(n_rest[ir]))
-            ir += 1
-    return tuple(out)
+            D += at(beta)
+    return D
 
 
 def fundamental_theorem_expand(M, s, t, n):
@@ -257,17 +207,20 @@ def fundamental_theorem_expand(M, s, t, n):
     (forward difference of order alpha of M) at the point whose alpha
     coordinates are k_alpha and whose remaining coordinates are those of s.
     The value equals M(n); callers may use the returned expansion as a check.
+    M is called once per point of the box [s, n], and the terms are added one
+    at a time: masks in product() order, anchors in lexicographic order.
     """
     s = aspoint(s)
     n = aspoint(n, len(s))
     t = aspoint(t, len(s))
     if not all(a <= b < c for a, b, c in zip(s, n, t)):
         raise ValueError(f"need s <= n < t coordinatewise, got s={s} n={n} t={t}")
-    d = len(s)
+    box = Box(s, tuple(x + 1 for x in n))
+    V = np.array([M(pt) for pt in box.points()]).reshape(box.sizes)
     total = 0
-    for mask in AlphaMask.all_masks(d):
-        ranges = [range(s[i], n[i]) for i in mask.axes]
-        for k in itertools.product(*ranges):
-            point = alpha_merge(k, tuple(s[i] for i in range(d) if not mask[i]), mask)
-            total += forward_difference(M, mask, point)
+    for alpha in itertools.product((0, 1), repeat=len(s)):
+        # the anchors: alpha coordinates free, the others at s
+        D = _mixed_difference(V, alpha)[tuple(slice(None) if bit else 0 for bit in alpha)]
+        for term in D.ravel().tolist():
+            total += term
     return total

@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .lattice import Box, dyadic_block_points
+from .lattice import Box, _mixed_difference, dyadic_block_points
 from .symbols import ContinuousSymbol, DiscreteSymbol, SymbolError
 
 __all__ = [
@@ -101,18 +101,7 @@ class ConditionReport:
 
     def as_dict(self) -> dict:
         """The report as plain Python values: what ``to_json`` encodes."""
-        def clean(v):
-            if isinstance(v, (np.integer,)):
-                return int(v)
-            if isinstance(v, (np.floating,)):
-                return float(v)
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            return v
-
-        payload = {
+        return {
             "kind": self.kind,
             "symbol": self.symbol,
             "d": self.d,
@@ -126,7 +115,6 @@ class ConditionReport:
             "table": self.table,
             "within_table": self.within_table,
         }
-        return clean(payload)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
@@ -187,33 +175,6 @@ _CHUNK_PAIRS = 1 << 20
 _ORIENTS = ("left", "right")
 
 
-def _difference(V, alpha):
-    """Mixed differences along the axis mask alpha of hull values V.
-
-    V holds the values at every hull offset, bases on the first axis. Entry
-    t of the result is the sum over beta <= alpha of (-1)^|alpha - beta|
-    V[t + beta], for every offset t whose t + 1 still lies in the hull; the
-    terms are added in the order product() lists the beta.
-    """
-    n = V.shape[1] - 1
-    betas = list(product(*[(0, 1) if bit else (0,) for bit in alpha]))
-
-    def at(beta):
-        return V[(slice(None),) + tuple(slice(b, b + n) for b in beta)]
-
-    # the first two terms differ in sign: one subtraction rounds as their sum
-    if (sum(alpha) - sum(betas[0])) % 2:
-        D = at(betas[1]) - at(betas[0])
-    else:
-        D = at(betas[0]) - at(betas[1])
-    for beta in betas[2:]:
-        if (sum(alpha) - sum(beta)) % 2:
-            D -= at(beta)
-        else:
-            D += at(beta)
-    return D
-
-
 def _variation_sums(m: DiscreteSymbol, bases, hull: Box, regions):
     """Per-base sums of |mixed difference of m| over regions of offsets.
 
@@ -237,7 +198,9 @@ def _variation_sums(m: DiscreteSymbol, bases, hull: Box, regions):
     lo = np.asarray(hull.los)
     by_alpha = {}
     for r, (alpha, anchors) in enumerate(regions):
-        idx = np.ravel_multi_index(tuple((anchors - lo).T), (side - 1,) * d)
+        # flat positions in the differences along alpha: only alpha's axes shrink
+        shape = tuple(side - bit for bit in alpha)
+        idx = np.ravel_multi_index(tuple((anchors - lo).T), shape)
         by_alpha.setdefault(tuple(alpha), []).append((r, idx))
     walk = bases[:1] if m.kind == "toeplitz" else bases
     width = max(1, _CHUNK_PAIRS // len(offsets))
@@ -252,7 +215,7 @@ def _variation_sums(m: DiscreteSymbol, bases, hull: Box, regions):
             c1 = max(c1, float(np.abs(V).max(initial=0.0)))
             V = V.reshape((len(pts),) + (side,) * d)
             for alpha, members in by_alpha.items():
-                D = np.abs(_difference(V, alpha)).reshape(len(pts), -1)
+                D = np.abs(_mixed_difference(V, alpha)).reshape(len(pts), -1)
                 for r, idx in members:
                     sums[r, o, start:start + len(pts)] = np.take(D, idx, axis=1).sum(axis=1)
             # free this orientation's arrays before the next evaluation
@@ -325,6 +288,14 @@ def _level_hull(k_max: int, d: int) -> Box:
     return Box.cube(-(1 << k_max) + 1, (1 << k_max) + 1, d)
 
 
+def _pinned_offsets(alpha, k: int, pin: int) -> np.ndarray:
+    """Offsets whose alpha coordinates run over the level-k block's extent
+    (-2^k, 2^k), in lexicographic order, and whose other coordinates are pin."""
+    shape = [(2 << k) - 1 if bit else 1 for bit in alpha]
+    corner = [1 - (1 << k) if bit else pin for bit in alpha]
+    return np.indices(shape).reshape(len(alpha), -1).T + corner
+
+
 def check_2d(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
     """Edge and mixed variation sums of a two-dimensional symbol per block.
 
@@ -341,13 +312,9 @@ def check_2d(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
     # per level: the four edge lines, then the shell
     regions = []
     for k in range(1, k_max + 1):
-        half, full = 1 << (k - 1), 1 << k
-        free = np.arange(-full + 1, full)
-        for axis in (0, 1):
-            for side in (half, -half):
-                T = np.full((len(free), 2), side)
-                T[:, axis] = free
-                regions.append(((1 - axis, axis), T))
+        half = 1 << (k - 1)
+        regions += [(alpha, _pinned_offsets(alpha, k, pin))
+                    for alpha in ((1, 0), (0, 1)) for pin in (half, -half)]
         regions.append(((1, 1), dyadic_block_points(k, 2)))
     sums, c1 = _variation_sums(m, bases, _level_hull(k_max, 2), regions)
     sums = sums.reshape(k_max, 5, 2, -1)
@@ -397,18 +364,8 @@ def check_dd(m: DiscreteSymbol, k_max: int, base_range: Box) -> ConditionReport:
     masks = [alpha for alpha in product((0, 1), repeat=d) if any(alpha)]
     regions = []
     for k in range(1, k_max + 1):
-        half, full = 1 << (k - 1), 1 << k
-        for alpha in masks:
-            free_axes = [i for i, bit in enumerate(alpha) if bit]
-            if all(alpha):
-                T = dyadic_block_points(k, d)
-            else:
-                rng = np.arange(-full + 1, full, dtype=np.int64)
-                grids = np.meshgrid(*([rng] * len(free_axes)), indexing="ij")
-                T = np.full((grids[0].size, d), half, dtype=np.int64)
-                for ax, g in zip(free_axes, grids):
-                    T[:, ax] = g.ravel()
-            regions.append((alpha, T))
+        regions += [(alpha, dyadic_block_points(k, d) if all(alpha)
+                     else _pinned_offsets(alpha, k, 1 << (k - 1))) for alpha in masks]
     sums, c1 = _variation_sums(m, bases, _level_hull(k_max, d), regions)
 
     table = [_sup_row(r // len(masks) + 1, f"{alpha}-{orient}", bases, sums[r, o], alpha=alpha)
@@ -440,34 +397,24 @@ def _gl_nodes(order: int):
     return u, w
 
 
-def _cell_averages(M: ContinuousSymbol, s_vals, t_vals, k: int, order: int):
-    """Averages of M over the sheared cells indexed by (s, t), vectorized."""
+def _cell_averages(M: ContinuousSymbol, s, t, k: int, order: int):
+    """Averages of M over the sheared cells (s, t), vectorized.
+
+    ``s`` and ``t`` are integer arrays that broadcast to the shape of the
+    result; M takes runs of about 2e6 nodes along the result's first axis.
+    """
     u, wu = _gl_nodes(order)
     h = 2.0 ** (-k)
     W2 = wu[:, None] * wu[None, :]
-    n_s, n_t, q = len(s_vals), len(t_vals), order
-    out = np.empty((n_s, n_t), dtype=np.complex128)
-    rows_per = max(1, 2_000_000 // max(1, n_t * q * q))
-    Y = (t_vals[None, :, None, None] + u[None, None, None, :] + u[None, None, :, None]) * h
-    for lo in range(0, n_s, rows_per):
-        hi = min(n_s, lo + rows_per)
-        X = (s_vals[lo:hi, None, None, None] + u[None, None, :, None]) * h
-        vals = M(np.broadcast_to(X, (hi - lo, n_t, q, q)),
-                 np.broadcast_to(Y, (hi - lo, n_t, q, q)))
-        out[lo:hi] = np.einsum("cnuv,uv->cn", vals, W2)
+    s, t = (np.asarray(a, dtype=np.float64)[..., None, None] for a in (s, t))
+    # node (u, v) of a cell sits at ((s + u) h, (t + v + u) h)
+    X, Y = np.broadcast_arrays((s + u[:, None]) * h, (t + u + u[:, None]) * h)
+    out = np.empty(X.shape[:-2], dtype=np.complex128)
+    rows_per = max(1, 2_000_000 // max(1, X[0].size))
+    for lo in range(0, len(out), rows_per):
+        rows = slice(lo, lo + rows_per)
+        out[rows] = np.einsum("...uv,uv->...", M(X[rows], Y[rows]), W2)
     return out
-
-
-def _paired_cell_averages(M: ContinuousSymbol, s_arr, t_arr, k: int, order: int):
-    """Averages over the cells (s_i, t_i) listed pairwise."""
-    u, wu = _gl_nodes(order)
-    h = 2.0 ** (-k)
-    W2 = wu[:, None] * wu[None, :]
-    q = order
-    m = len(s_arr)
-    X = np.broadcast_to((s_arr[:, None, None] + u[None, :, None]) * h, (m, q, q))
-    Y = (t_arr[:, None, None] + u[None, :, None] + u[None, None, :]) * h
-    return np.einsum("muv,uv->m", M(X, Y), W2)
 
 
 def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
@@ -486,9 +433,9 @@ def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
         raise ValueError("scale k must be nonnegative")
     if window.d != 1:
         raise ValueError("window must be one-dimensional")
-    pts = window.points_array()[:, 0].astype(np.float64)
+    pts = window.points_array()[:, 0]
     order, check_order = _GL_ORDERS
-    entries = _cell_averages(M, pts, pts, k, order)
+    entries = _cell_averages(M, pts[:, None], pts[None, :], k, order)
 
     n = len(pts)
     total = n * n
@@ -496,7 +443,7 @@ def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
     idx = np.arange(0, total, 1 if total <= 4096 else total // 1024)
     si, ti = idx // n, idx % n
     coarse = entries[si, ti]
-    fine = _paired_cell_averages(M, pts[si], pts[ti], k, check_order)
+    fine = _cell_averages(M, pts[si], pts[ti], k, check_order)
     gap = np.abs(fine - coarse)
     worst = int(np.argmax(gap))
     if gap[worst] > tol:

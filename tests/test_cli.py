@@ -502,6 +502,28 @@ class TestDiscretize:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    BAD_INPUTS = [
+        (["--nmax", "0"], "--nmax must be >= 1"),
+        (["--scale", "-1"], "--scale must be >= 0"),
+        (["--jmin", "3", "--jmax", "1"], "--jmin must be <= --jmax"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", BAD_INPUTS,
+                             ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
+    def test_bad_input_rejected_before_any_work(self, argv, message, tmp_path,
+                                                monkeypatch, capsys):
+        import schurkit.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("discretize_continuous ran on a bad input")
+
+        monkeypatch.setattr(cli, "discretize_continuous", never)
+        rc = main(["discretize", "--catalog", "continuous_ratio", *argv,
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReportEncoding:
     """check and discretize encode each report once, to the bytes of the JSON

@@ -1,19 +1,12 @@
-"""Dyadic block geometry and finite-difference calculus on Z^d."""
+"""Dyadic block geometry and mixed differences on Z^d."""
 
-import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from schurkit import (
-    AlphaMask,
-    Box,
-    DyadicIndex,
-    alpha_merge,
-    dyadic_block_points,
-    forward_difference,
-    fundamental_theorem_expand,
-)
+from schurkit import Box, DyadicIndex, dyadic_block_points, fundamental_theorem_expand
+from schurkit.lattice import _mixed_difference
 
 
 class TestBox:
@@ -119,52 +112,24 @@ class TestDyadicBlocks:
 
 class TestDifferences:
     def test_forward_first_order(self):
-        phi = lambda n: n[0] ** 2
-        assert forward_difference(phi, (1,), (3,)) == 16 - 9
+        V = np.arange(-3, 6) ** 2
+        assert _mixed_difference(V, (1,)).tolist() == [(n + 1) ** 2 - n**2 for n in range(-3, 5)]
 
     def test_mixed_difference_2d(self):
-        phi = lambda n: n[0] * n[1]
         # the (1,1) difference of the product is identically 1
-        for pt in itertools.product(range(-2, 3), repeat=2):
-            assert forward_difference(phi, (1, 1), pt) == 1
+        n1, n2 = np.meshgrid(np.arange(-2, 3), np.arange(-2, 4), indexing="ij")
+        D = _mixed_difference(n1 * n2, (1, 1))
+        assert D.shape == (4, 5) and (D == 1).all()
 
-    def test_second_order(self):
-        phi = lambda n: n[0] ** 2
-        assert forward_difference(phi, (2,), (0,)) == 2
-
-    def test_annihilates_low_degree(self):
-        # a second difference kills affine functions
-        phi = lambda n: 7 * n[0] - 4
-        for x in range(-2, 3):
-            assert forward_difference(phi, (2,), (x,)) == 0
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            forward_difference(lambda n: 0, (-1,), (0,))
-
-
-class TestAlphaMask:
-    def test_mask_enumeration(self):
-        assert len(AlphaMask.all_masks(3)) == 8
-        assert sum(m.weight > 0 for m in AlphaMask.all_masks(3)) == 7
-
-    def test_axes_and_weight(self):
-        m = AlphaMask((1, 0, 1))
-        assert m.axes == (0, 2)
-        assert m.weight == 2
-
-    def test_project_merge_roundtrip(self):
-        m = AlphaMask((0, 1, 1, 0))
-        pt = (4, -1, 7, 2)
-        assert alpha_merge((-1, 7), (4, 2), m) == pt
-        assert alpha_merge((4, 2), (-1, 7), AlphaMask((1, 0, 0, 1))) == pt
-        assert alpha_merge((), (5, 6), AlphaMask((0, 0))) == (5, 6)
-        with pytest.raises(ValueError):
-            alpha_merge((1,), (2, 3), m)
-
-    def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError):
-            AlphaMask((0, 2))
+    def test_axes_outside_alpha_keep_their_length(self):
+        # a batch of tables on a 4 x 5 x 6 box: alpha = (0, 1, 0) shrinks the
+        # second lattice axis alone, so the differences anchored at every
+        # value of the other coordinates stay in the result
+        V = np.random.default_rng(3).standard_normal((2, 4, 5, 6))
+        D = _mixed_difference(V, (0, 1, 0))
+        assert D.shape == (2, 4, 4, 6)
+        assert np.array_equal(D, V[:, :, 1:, :] - V[:, :, :-1, :])
+        assert _mixed_difference(V, (0, 0, 0)).shape == V.shape
 
 
 class TestFundamentalTheorem:
@@ -184,6 +149,19 @@ class TestFundamentalTheorem:
             t = tuple(box.his)
             got = fundamental_theorem_expand(phi, s, t, n)
             assert abs(got - phi(n)) <= 1e-12 * max(1.0, abs(phi(n)))
+
+    def test_calls_M_once_per_point_of_the_box(self):
+        # M is read on [s, n] alone: each point once, nothing past n
+        calls = Counter()
+
+        def phi(pt):
+            calls[pt] += 1
+            return complex(sum(pt), pt[0] * pt[-1])
+
+        s, t, n = (-1, 0, 2), (4, 4, 5), (1, 2, 2)
+        assert fundamental_theorem_expand(phi, s, t, n) == phi(n)
+        calls[n] -= 1
+        assert calls == Counter(Box(s, tuple(x + 1 for x in n)).points())
 
     def test_rejects_point_outside(self):
         phi = lambda n: 0

@@ -345,8 +345,8 @@ class TestParallelogramCells:
         t = np.arange(-5.0, 2.0)
         for k in (0, 2, 3):
             h = 2.0**-k
-            cx = marcinkiewicz._cell_averages(x, s, t, k, 8)
-            cy = marcinkiewicz._cell_averages(y, s, t, k, 8)
+            cx = marcinkiewicz._cell_averages(x, s[:, None], t[None, :], k, 8)
+            cy = marcinkiewicz._cell_averages(y, s[:, None], t[None, :], k, 8)
             assert np.abs(cx - ((s + 0.5) * h)[:, None]).max() < 1e-14
             assert np.abs(cy - ((t + 1.0) * h)[None, :]).max() < 1e-14
 
@@ -356,8 +356,8 @@ class TestParallelogramCells:
         # average is their mean (the order-8 rule is exact on a cubic)
         M = ContinuousSymbol(
             lambda x, y: (x**3 - 2.0 * x * y**2 + 0.5j * y + 1.0).astype(np.complex128))
-        s = np.arange(-4.0, 5.0)
-        t = np.arange(-3.0, 4.0)
+        s = np.arange(-4, 5)[:, None]
+        t = np.arange(-3, 4)[None, :]
         for k in (1, 2, 4):
             coarse = marcinkiewicz._cell_averages(M, s, t, k, 8)
             fine = sum(marcinkiewicz._cell_averages(M, 2 * s + a, 2 * t + a + b, k + 1, 8)

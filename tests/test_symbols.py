@@ -312,6 +312,10 @@ class TestExpressionGrammar:
         ("min(k1, k2, k1*k2) + max(k1, k2, k1*k2)",
          lambda a, b: np.minimum(np.minimum(a.real, b.real), (a * b).real).astype(complex)
          + np.maximum(np.maximum(a.real, b.real), (a * b).real).astype(complex)),
+        # a constant argument broadcasts against the arrays
+        ("max(k1, 0)", lambda a, b: np.maximum(a.real, 0.0).astype(complex)),
+        ("min(2, k1, -k1)", lambda a, b: np.minimum(np.minimum(2.0, a.real), (-a).real)
+         .astype(complex)),
         ("pi*k1 + e - i*k2 + j", lambda a, b: np.pi * a + np.e - 1j * b + 1j),
         ("\n  (k1 +\n   k2) / (k2 - 1)\n", lambda a, b: (a + b) / (b - 1)),
     ]
@@ -375,6 +379,13 @@ class TestExpressionGrammar:
         want = np.asarray(formula(self.K1, self.K2), dtype=complex)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_imaginary_literal_is_infj(self):
+        # as Python reads 1e400j: real part 0, not the nan of 1j * inf
+        from schurkit._expr import compile_expr
+        for text in ("1e400i", "1e400j"):
+            got = compile_expr(text, [])({})
+            assert got.tobytes() == np.asarray(complex(0.0, np.inf)).tobytes()
 
     def test_accepted_table_calls_every_function(self):
         from schurkit._expr import _FUNCTIONS

@@ -34,6 +34,9 @@ SPECS = {
                          "expr": "cos(0.3*s1) / (1 + abs(s1 - t1)) + 0.5*sin(0.2*t1)"},
     "callback_2d.json": {"kind": "callback", "d": 2,
                          "expr": "cos(0.4*s1 - 0.9*t2) / (1 + (s1 - t1)^2 + (s2 - t2)^2)"},
+    "callback_3d.json": {"kind": "callback", "d": 3,
+                         "expr": "cos(0.4*s1 - 0.9*t3)"
+                                 " / (1 + (s1 - t1)^2 + (s2 - t2)^2 + (s3 - t3)^2)"},
     "toeplitz_2d.json": {"kind": "toeplitz", "d": 2,
                          "phi": "cos(0.7*k1 + 1.1*k2) / (1 + k1*k1 + k2*k2)"},
     "toeplitz_3d.json": {"kind": "toeplitz", "d": 3,
@@ -63,6 +66,8 @@ COMMANDS = [
     ["check", "--spec", "callback_2d.json", "--kmax", "3", "--base-range=-2:2"],
     ["check", "--spec", "toeplitz_2d.json", "--kmax", "3"],
     ["check", "--spec", "toeplitz_3d.json", "--kmax", "2", "--base-range=-2:2"],
+    # a symbol of s and t apart: check_dd at d = 3 over 27 bases
+    ["check", "--spec", "callback_3d.json", "--kmax", "2", "--base-range=-1:1"],
     ["check", "--spec", "spellings_1d.json"],
     ["check", "--spec", "guarded_1d.json"],
     ["estimate", "--spec", "spellings_1d.json", "--p", "4", "--n", "8", "--restarts", "2",
