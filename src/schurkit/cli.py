@@ -197,10 +197,24 @@ def _jsonable(v):
 # subcommands
 
 
+def _levels(args):
+    """The (--jmin, --jmax) pair check_continuous takes, checked before any work."""
+    if args.jmin > args.jmax:
+        raise CliError("--jmin must be <= --jmax")
+    return args.jmin, args.jmax
+
+
 def cmd_check(args) -> int:
     sym, label = _resolve_symbol(args)
-    if isinstance(sym, ContinuousSymbol):
-        report = check_continuous(sym, (args.jmin, args.jmax))
+    continuous = isinstance(sym, ContinuousSymbol)
+    # an option the chosen checker would ignore is an input error
+    if continuous and args.alpha:
+        raise CliError("--alpha does not apply to a continuous symbol")
+    if args.kmax is not None and (continuous or sym.d == 1 and not args.alpha):
+        raise CliError("--kmax applies only to check_2d and check_dd: "
+                       "a discrete symbol with d >= 2, or --alpha")
+    if continuous:
+        report = check_continuous(sym, _levels(args))
     else:
         base = _parse_base_range(args.base_range, sym.d)
         if sym.d == 1 and not args.alpha:
@@ -276,8 +290,6 @@ def cmd_verify(args) -> int:
         rhs = tr.pi_embed(apply_schur(m, A))
         scale = max(rhs.max_abs(), 1.0)
         res = tr.max_coeff_diff(lhs, rhs) / scale
-        if args.inject_fault and t == 0:
-            res += 1e-3
         suites["multiplier_transfer"] = max(suites["multiplier_transfer"], res)
 
         if d == 1:
@@ -412,15 +424,15 @@ def cmd_discretize(args) -> int:
                        "spec is written next to it)")
     # checked before the discretization, the slowest step, not after it
     for ok, message in ((args.scale >= 0, "--scale must be >= 0"),
-                        (args.nmax >= 1, "--nmax must be >= 1"),
-                        (args.jmin <= args.jmax, "--jmin must be <= --jmax")):
+                        (args.nmax >= 1, "--nmax must be >= 1")):
         if not ok:
             raise CliError(message)
+    levels = _levels(args)
     window = _parse_base_range(args.base_range, 1)
     tol = args.threshold
 
     mk = discretize_continuous(sym, args.scale, window)
-    cont = check_continuous(sym, (args.jmin, args.jmax))
+    cont = check_continuous(sym, levels)
     disc = check_1d(mk, args.nmax, Box.interval(-2, 2))
 
     table = mk.values_on(window, window)
@@ -509,9 +521,6 @@ def _verify_args(p):
     _common(p, symbol=False)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--inject-fault", dest="inject_fault",
-                   action="store_true",
-                   help="test hook: plant one wrong coefficient")
     p.set_defaults(fn=cmd_verify)
 
 

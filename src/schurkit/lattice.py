@@ -151,14 +151,8 @@ class DyadicIndex:
             raise ValueError("dimension must be >= 1")
 
 
-def dyadic_block_points(j, d=None):
-    """All points of E_j as an (m, d) int array, lexicographically ordered."""
-    if isinstance(j, DyadicIndex):
-        level, dim = j.j, j.d
-    else:
-        level, dim = int(j), d
-        if dim is None:
-            raise ValueError("dimension required when j is a plain level")
+def dyadic_block_points(level, dim):
+    """All points of E_level in Z^dim as an (m, dim) int array, lexicographically ordered."""
     if level == 0:
         return np.zeros((1, dim), dtype=np.int64)
     hull = Box.cube(-(2**level) + 1, 2**level, dim)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -116,8 +115,8 @@ class ConditionReport:
             "within_table": self.within_table,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     def csv_rows(self):
         """Rows [section, level, direction, base, value, running_sup]."""
@@ -417,15 +416,18 @@ def _cell_averages(M: ContinuousSymbol, s, t, k: int, order: int):
     return out
 
 
-def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
-                          tol: float = 1e-8) -> DiscreteSymbol:
+# Largest gap between the two orders of _GL_ORDERS on a sampled cell average.
+_CELL_TOL = 1e-8
+
+
+def discretize_continuous(M: ContinuousSymbol, k: int, window: Box) -> DiscreteSymbol:
     """Dense symbol of cell averages of M at scale k over a window.
 
     Entry (s, t) is the mean of M over the sheared half-open cell traced by
     ((s+u)/2^k, (t+v+u)/2^k) for (u, v) in the unit square, computed with
     tensor Gauss-Legendre quadrature at the lower order of ``_GL_ORDERS``.
     A strided sample of cells is recomputed at the higher order;
-    disagreement above ``tol`` raises QuadratureError.
+    disagreement above ``_CELL_TOL`` raises QuadratureError.
     """
     if M.d != 1:
         raise SymbolError("cell-average discretization is defined for d = 1 symbols")
@@ -446,11 +448,11 @@ def discretize_continuous(M: ContinuousSymbol, k: int, window: Box,
     fine = _cell_averages(M, pts[si], pts[ti], k, check_order)
     gap = np.abs(fine - coarse)
     worst = int(np.argmax(gap))
-    if gap[worst] > tol:
+    if gap[worst] > _CELL_TOL:
         s_bad, t_bad = int(pts[si[worst]]), int(pts[ti[worst]])
         raise QuadratureError(
             f"cell average at (s={s_bad}, t={t_bad}), scale {k}, moved "
-            f"{gap[worst]:.3e} under order refinement (tol {tol:g})"
+            f"{gap[worst]:.3e} under order refinement (tol {_CELL_TOL:g})"
         )
 
     name = f"{M.name or 'continuous'}_avg_k{k}"
@@ -561,38 +563,33 @@ def _adaptive_gl(f, intervals, tol: float):
     return total
 
 
-def _normalize_levels(j_range) -> list[int]:
-    if isinstance(j_range, tuple) and len(j_range) == 2:
-        lo, hi = int(j_range[0]), int(j_range[1])
-        if hi < lo:
-            raise ValueError("empty level range")
-        return list(range(lo, hi + 1))
-    levels = [int(j) for j in j_range]
-    if not levels:
-        raise ValueError("empty level range")
-    return levels
-
-
 # Sampled bases y of the d = 1 continuous check: an even grid on _Y_SPAN.
 _Y_SPAN, _Y_SAMPLES = (-4.0, 4.0), 129
 
+# Error bound of each shell integral.
+_SHELL_TOL = 1e-9
 
-def check_continuous(M: ContinuousSymbol, j_range, *,
-                     tol: float = 1e-9) -> ConditionReport:
+
+def check_continuous(M: ContinuousSymbol, j_range) -> ConditionReport:
     """Supremum of dyadic-shell integrals of |derivative of M|.
 
-    d = 1: for each level j and base y, integrates |d/dx M(y+t, y)| (and the
+    ``j_range`` is the pair (jmin, jmax) of the first and last level. d = 1:
+    for each level j and base y, integrates |d/dx M(y+t, y)| (and the
     second-argument mirror) over 2^j <= |t| <= 2^(j+1). d = 2: per nonzero
     axis mask, integrates the mixed derivative magnitude over the mask's
     slice of the shell 2^j < |t|_inf <= 2^(j+1), the other coordinate pinned
     to the shell's outer edge; both argument orders. The supremum over bases
     is a max over the reported sample grid, not a proven supremum. Every
-    integral is one ``_adaptive_gl`` interval solved to ``tol``, each shell
+    integral is one ``_adaptive_gl`` interval solved to ``_SHELL_TOL``, each shell
     half starting as one panel. At d = 1 each shell half and base is its own
     interval, one solve per derivative slot; at d = 2 the bases are the
     components of one interval.
     """
-    levels = _normalize_levels(j_range)
+    jmin, jmax = j_range
+    if jmax < jmin:
+        raise ValueError("empty level range")
+    levels = list(range(jmin, jmax + 1))
+    tol = _SHELL_TOL
     if M.d == 1:
         ys = np.linspace(*_Y_SPAN, _Y_SAMPLES)
         # both signed halves of every shell, in level order

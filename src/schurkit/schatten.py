@@ -46,63 +46,11 @@ class LabeledMatrix:
         self.data = data
 
     @classmethod
-    def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
+    def zeros(cls, rows, cols):
         return cls(rows, cols, np.zeros((rows.npoints, cols.npoints), dtype=np.complex128))
-
-    @classmethod
-    def identity(cls, window):
-        return cls(window, window, np.eye(window.npoints, dtype=np.complex128))
-
-    @classmethod
-    def unit(cls, rows, cols, s, t):
-        """Matrix unit e_{s,t}."""
-        out = cls.zeros(rows, cols)
-        out.data[rows.index(s), cols.index(t)] = 1.0
-        return out
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def entry(self, s, t):
-        return self.data[self.rows.index(s), self.cols.index(t)]
 
     def same_windows(self, other):
         return self.rows == other.rows and self.cols == other.cols
-
-    def _check_windows(self, other):
-        if not self.same_windows(other):
-            raise ValueError("window mismatch between labeled matrices")
-
-    def __add__(self, other):
-        self._check_windows(other)
-        return LabeledMatrix(self.rows, self.cols, self.data + other.data)
-
-    def __sub__(self, other):
-        self._check_windows(other)
-        return LabeledMatrix(self.rows, self.cols, self.data - other.data)
-
-    def __neg__(self):
-        return LabeledMatrix(self.rows, self.cols, -self.data)
-
-    def __mul__(self, scalar):
-        return LabeledMatrix(self.rows, self.cols, self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("inner windows do not match for the product")
-        return LabeledMatrix(self.rows, other.cols, self.data @ other.data)
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace needs matching row and column windows")
-        return complex(np.trace(self.data))
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
     def __repr__(self):
         return f"LabeledMatrix(rows={self.rows.los}..{self.rows.his}, cols={self.cols.los}..{self.cols.his})"

@@ -9,7 +9,6 @@ batches are (count, d) integer or float arrays.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from pathlib import Path
 
@@ -167,37 +166,6 @@ class DiscreteSymbol:
         ss = np.repeat(rp, len(cp), axis=0)
         tt = np.tile(cp, (len(rp), 1))
         return self.eval_pairs(ss, tt).reshape(rows.npoints, cols.npoints)
-
-    def __mul__(self, other):
-        # products of Toeplitz symbols stay Toeplitz, with the values the
-        # callback form gives: the product of the factors' eval_pairs values
-        if isinstance(other, DiscreteSymbol):
-            if other.d != self.d:
-                raise SymbolError("symbol dimensions differ")
-            a, b = self, other
-            name = f"{self.name}*{other.name}"
-            if a.kind == b.kind == "toeplitz":
-                return DiscreteSymbol.toeplitz(
-                    lambda k: _values(a.phi(k), len(k)) * _values(b.phi(k), len(k)),
-                    d=self.d, name=name,
-                )
-            return DiscreteSymbol.callback(
-                lambda s, t: a.eval_pairs(s, t) * b.eval_pairs(s, t), d=self.d, name=name,
-            )
-        if isinstance(other, numbers.Number):
-            lam = complex(other)
-            a = self
-            name = f"{other}*{self.name}"
-            if a.kind == "toeplitz":
-                return DiscreteSymbol.toeplitz(
-                    lambda k: lam * _values(a.phi(k), len(k)), d=self.d, name=name
-                )
-            return DiscreteSymbol.callback(
-                lambda s, t: lam * a.eval_pairs(s, t), d=self.d, name=name
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"DiscreteSymbol(kind={self.kind!r}, d={self.d}, name={self.name!r})"

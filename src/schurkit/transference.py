@@ -144,24 +144,12 @@ class MatTrigPoly:
     def items(self):
         return ((n, self._dense(i)) for i, n in enumerate(self.support))
 
-    def _check_shape(self, other):
-        if other.d != self.d or other.rows != self.rows or other.cols != self.cols:
-            raise ValueError("polynomial shape mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, MatTrigPoly):
-            return NotImplemented
-        self._check_shape(other)
-        return _sum_polys([self, other])
-
     def __sub__(self, other):
         if not isinstance(other, MatTrigPoly):
             return NotImplemented
-        self._check_shape(other)
+        if other.d != self.d or other.rows != self.rows or other.cols != self.cols:
+            raise ValueError("polynomial shape mismatch")
         return _sum_polys([self, other._with_values(-other._val)])
-
-    def __rmul__(self, scalar):
-        return self._with_values(self._val * complex(scalar))
 
     def grid_chunks(self, grid: QuadratureGrid, values_per_chunk: int, out=None):
         """Values on consecutive runs of grid points: (chunk, R, C) arrays of
@@ -373,19 +361,14 @@ def _region_mask(region, sup):
             raise ValueError("open-interval projection is one-dimensional")
         a, b = region
         return (sup[:, 0] > a) & (sup[:, 0] < b)
-    if isinstance(region, (list, tuple)):
-        mask = np.zeros(len(sup), dtype=bool)
-        for r in region:
-            mask |= _region_mask(r, sup)
-        return mask
     raise TypeError(f"unsupported projection region {region!r}")
 
 
 def freq_project(f: MatTrigPoly, region) -> MatTrigPoly:
     """Keep only the coefficients whose frequency lies in the region.
 
-    Regions: a Box, a dyadic block index, an open integer interval (a, b)
-    meaning a < n < b (both ends strict), or a list of boxes (their union).
+    Regions: a Box, a dyadic block index, or an open integer interval
+    (a, b) meaning a < n < b (both ends strict).
     """
     return f._keep(_region_mask(region, f._sup))
 
@@ -603,22 +586,20 @@ class LpReport:
         }
 
 
-def lp_experiment(f: MatTrigPoly, p: float, grid: QuadratureGrid | None = None,
-                  rectangles=None) -> LpReport:
+def lp_experiment(f: MatTrigPoly, p: float, rectangles=None) -> LpReport:
     """Measure how block and cutoff square functions compare to the norm.
 
     Records norm / square-function for the dyadic block projections, the
     cutoff square function / norm, and optionally the same for a supplied
     family of frequency rectangles. Ratios are reported against the shape
-    p^2/(p-1); nothing here passes or fails. The default grid is
-    ``QuadratureGrid.default_for(f, p)``, exact at even integer p.
+    p^2/(p-1); nothing here passes or fails. Every norm is taken on the
+    grid ``QuadratureGrid.default_for(f, p)``, exact at even integer p.
     """
     if p < 2:
         raise ValueError("square-function ratios are computed for p >= 2 only")
     if math.isinf(p):
         raise ValueError("square-function ratios need finite p")
-    if grid is None:
-        grid = QuadratureGrid.default_for(f, p)
+    grid = QuadratureGrid.default_for(f, p)
     levels = list(range(f.max_freq().bit_length() + 1))
 
     # Norm through the same evaluation path as the square functions, so a

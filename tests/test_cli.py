@@ -163,6 +163,32 @@ class TestCheck:
         rc = main(["check", "--catalog", "triangular", "--base-range", "abc"])
         assert rc == 2
 
+    BAD_OPTIONS = [
+        (["--catalog", "continuous_arctan", "--jmin", "3", "--jmax", "1"],
+         "--jmin must be <= --jmax"),
+        # options the chosen checker would ignore
+        (["--catalog", "continuous_arctan", "--kmax", "3"], "--kmax applies only to"),
+        (["--catalog", "continuous_arctan", "--alpha"],
+         "--alpha does not apply to a continuous symbol"),
+        (["--catalog", "triangular", "--kmax", "3"], "--kmax applies only to"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", BAD_OPTIONS,
+                             ids=[" ".join(argv) for argv, _ in BAD_OPTIONS])
+    def test_bad_option_rejected_before_any_work(self, argv, message, tmp_path,
+                                                 monkeypatch, capsys):
+        import schurkit.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a checker ran on a bad option")
+
+        for checker in ("check_1d", "check_2d", "check_dd", "check_continuous"):
+            monkeypatch.setattr(cli, checker, never)
+        rc = main(["check", *argv, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_deterministic(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
@@ -283,8 +309,23 @@ class TestVerify:
         }
         assert all(s["pass"] for s in suites.values())
 
-    def test_injected_fault_detected(self, capsys):
-        assert main(["verify", "--trials", "2", "--inject-fault"]) == 1
+    def test_injected_fault_detected(self, monkeypatch, capsys):
+        # one wrong coefficient in the first comparison, trial 0's transfer
+        # check: only that suite fails, and the report is still written
+        import schurkit.transference as tr
+
+        exact, calls = tr.max_coeff_diff, []
+
+        def faulty(f, g):
+            calls.append(1)
+            return exact(f, g) + (1e-3 if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(tr, "max_coeff_diff", faulty)
+        assert main(["verify", "--trials", "2", "--seed", "0"]) == 1
+        suites = {s["suite"]: s["pass"] for s in _json_out(capsys)["data"]["suites"]}
+        assert suites == {"multiplier_transfer": False, "block_telescoping_1d": True,
+                          "block_telescoping_2d": True, "difference_reconstruction": True,
+                          "operator_cauchy_schwarz": True}
 
     def test_telescoping_2d_residual_reported(self, monkeypatch, capsys):
         # a 2-d symbol whose values drift between calls breaks the rectangle

@@ -101,7 +101,8 @@ class TestNormLowerBound:
         win = Box.interval(-4, 4)
         kw = dict(budget={"restarts": 2, "iterations": 30}, seed=0)
         one = norm_lower_bound(m, win, 2.0, **kw)
-        three = norm_lower_bound(3.0 * m, win, 2.0, **kw)
+        tripled = DiscreteSymbol.toeplitz(lambda k: 3.0 * m.phi(k))
+        three = norm_lower_bound(tripled, win, 2.0, **kw)
         assert three.value == pytest.approx(3.0 * one.value, rel=1e-12)
 
     def test_seed_reproducibility(self):

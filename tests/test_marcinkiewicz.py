@@ -105,7 +105,8 @@ class TestCheck1d:
     def test_scaling_equivariance(self):
         m = catalog("lacunary_toeplitz", seed=1)
         rep1 = check_1d(m, 5, Box.interval(-4, 4))
-        rep3 = check_1d(3.0 * m, 5, Box.interval(-4, 4))
+        rep3 = check_1d(DiscreteSymbol.toeplitz(lambda k: 3.0 * m.phi(k)), 5,
+                        Box.interval(-4, 4))
         v1 = _rows_by(rep1, "level", "direction")
         v3 = _rows_by(rep3, "level", "direction")
         for key, v in v1.items():
@@ -396,25 +397,27 @@ class TestDiscretize:
         want = np.broadcast_to(((pts + 0.5) / 16.0)[:, None], (9, 9))
         assert np.abs(m.values_on(win, win) - want).max() < 1e-13
 
-    def test_shear_adapts_to_the_diagonal(self):
+    def test_shear_adapts_to_the_diagonal(self, monkeypatch):
         # |x - y| is linear on every sheared cell, so averages are exact
         kink = ContinuousSymbol(
             lambda x, y: np.abs(x - y).astype(np.complex128), d=1, name="vee")
         k, win = 2, Box.interval(-3, 4)
-        m = discretize_continuous(kink, k, win, tol=1e-12)
+        monkeypatch.setattr(marcinkiewicz, "_CELL_TOL", 1e-12)
+        m = discretize_continuous(kink, k, win)
         pts = win.points_array()[:, 0]
         D = pts[:, None] - pts[None, :]
         h = 2.0**-k
         want = np.where(D >= 1, (D - 0.5) * h, (0.5 - D) * h)
         assert np.abs(m.values_on(win, win) - want).max() < 1e-13
 
-    def test_interior_cusp_detected(self):
+    def test_interior_cusp_detected(self, monkeypatch):
         h = 0.25
         cusp = ContinuousSymbol(
             lambda x, y: np.sqrt(np.abs(x - y + 0.5 * h)).astype(np.complex128),
             d=1, name="cusp")
+        monkeypatch.setattr(marcinkiewicz, "_CELL_TOL", 1e-10)
         with pytest.raises(QuadratureError, match="refinement"):
-            discretize_continuous(cusp, 2, Box.interval(0, 3), tol=1e-10)
+            discretize_continuous(cusp, 2, Box.interval(0, 3))
 
     def test_name_records_scale(self):
         m = discretize_continuous(catalog("continuous_constant"), 5, Box.interval(0, 2))
@@ -467,7 +470,7 @@ class TestCheckContinuous:
         flat = ContinuousSymbol(
             lambda x, y: np.ones(np.asarray(x, dtype=float).shape[:-1],
                                  dtype=np.complex128), d=2, name="flat2")
-        rep = check_continuous(flat, (0, 1), tol=1e-6)
+        rep = check_continuous(flat, (0, 1))
         assert rep.a_const == pytest.approx(0.0, abs=1e-6)
         bad = ContinuousSymbol(lambda x, y: x, d=3)
         with pytest.raises(SymbolError):

@@ -44,24 +44,26 @@ class TestLabeledMatrix:
             LabeledMatrix(Box.interval(0, 2), Box.interval(0, 3), np.zeros((2, 2)))
 
     def test_unit_entry(self):
+        # the entry labelled (s, t) sits at the boxes' flat positions of s and
+        # t, so the embedding files it under the frequency s - t
         w = Box.interval(-1, 2)
-        e = LabeledMatrix.unit(w, w, (0,), (1,))
-        assert e.entry((0,), (1,)) == 1
-        assert e.data.sum() == 1
+        e = LabeledMatrix.zeros(w, w)
+        e.data[w.index((0,)), w.index((1,))] = 1
+        f = pi_embed(e)
+        assert not f.coeff((1,)).data.any()
+        assert np.array_equal(f.coeff((-1,)).data, e.data)
+        assert e.data.sum() == 1 and e.data[1, 2] == 1
 
     def test_window_mismatch_rejected(self):
-        A = LabeledMatrix.zeros(Box.interval(0, 2))
-        B = LabeledMatrix.zeros(Box.interval(1, 3))
+        A = LabeledMatrix.zeros(Box.interval(0, 2), Box.interval(0, 2))
+        B = LabeledMatrix.zeros(Box.interval(0, 2), Box.interval(1, 3))
+        assert A.same_windows(LabeledMatrix.zeros(Box.interval(0, 2), Box.interval(0, 2)))
+        assert not A.same_windows(B) and not B.same_windows(A)
         with pytest.raises(ValueError):
-            A + B
-
-    def test_matmul_window_chain(self):
-        r, m, c = Box.interval(0, 2), Box.interval(5, 8), Box.interval(-1, 1)
-        rng = np.random.default_rng(0)
-        A, B = _random(r, m, rng), _random(m, c, rng)
-        C = A @ B
-        assert C.rows == r and C.cols == c
-        assert np.allclose(C.data, A.data @ B.data)
+            cs_gap([A], [B])
+        f, g = MatTrigPoly(1, {(0,): A}), MatTrigPoly(1, {(0,): B})
+        with pytest.raises(ValueError):
+            f - g
 
 
 class TestSchattenNorm:
@@ -112,12 +114,12 @@ class TestSchattenNorm:
         with pytest.raises(ValueError):
             schatten_norm(A, 2)
         with pytest.raises(ValueError):
-            schatten_norm(LabeledMatrix.identity(w), 0)
+            schatten_norm(LabeledMatrix(w, w, np.eye(w.npoints)), 0)
 
     def test_quasi_norm_warns(self):
         w = Box.interval(0, 2)
         with pytest.warns(UserWarning):
-            schatten_norm(LabeledMatrix.identity(w), 0.5)
+            schatten_norm(LabeledMatrix(w, w, np.eye(w.npoints)), 0.5)
 
 
 class TestCsGap:
@@ -140,11 +142,11 @@ class TestCsGap:
 
     def test_validation(self):
         w = Box.interval(0, 2)
-        A = LabeledMatrix.identity(w)
+        A = LabeledMatrix(w, w, np.eye(w.npoints))
         with pytest.raises(ValueError):
             cs_gap([A], [])
         with pytest.raises(ValueError):
-            cs_gap([A], [LabeledMatrix.identity(Box.interval(1, 3))])
+            cs_gap([A], [LabeledMatrix(Box.interval(1, 3), Box.interval(1, 3), np.eye(2))])
 
 
 class TestTorusNorms:
@@ -184,7 +186,7 @@ class TestTorusNorms:
 
     def test_square_function_rejects_bad_p(self):
         w = Box.interval(0, 2)
-        f = pi_embed(LabeledMatrix.identity(w))
+        f = pi_embed(LabeledMatrix(w, w, np.eye(w.npoints)))
         with pytest.raises(ValueError):
             square_function_norm([f], 1.5)
         with pytest.raises(ValueError):

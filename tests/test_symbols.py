@@ -12,11 +12,14 @@ from schurkit import (
     Box,
     ContinuousSymbol,
     DiscreteSymbol,
+    LabeledMatrix,
     SymbolError,
     WindowCapError,
+    apply_fourier_multiplier,
     catalog,
     catalog_names,
     load_symbol,
+    pi_embed,
 )
 
 
@@ -54,37 +57,14 @@ class TestDiscreteSymbol:
         with pytest.raises(WindowCapError):
             m.values_on(Box.interval(0, 3000), Box.interval(0, 3000))
 
-    def test_scalar_and_pointwise_product(self):
-        a = catalog("triangular")
-        b = 2.0 * a
-        assert b((1,), (0,)) == 2.0
-        c = a * a
-        assert c((1,), (0,)) == 1.0 and c((0,), (1,)) == 0.0
-
-    def test_toeplitz_products_stay_toeplitz(self):
-        # same values as the callback form, so the variation checks may
-        # evaluate them at one base
-        a = catalog("lacunary_toeplitz", seed=1)
-        b = load_symbol({"kind": "toeplitz", "d": 1,
-                         "phi": "exp(0.37i*k1)*cos(0.7*k1)/(1+abs(k1))^0.5"})
-        s = np.arange(-40, 41).reshape(-1, 1)
-        t = s[::-1] // 3
-        cases = [
-            (3.0 * a, lambda s, t: 3.0 * a.eval_pairs(s, t)),
-            (b * (0.5 - 2j), lambda s, t: (0.5 - 2j) * b.eval_pairs(s, t)),
-            (a * b, lambda s, t: a.eval_pairs(s, t) * b.eval_pairs(s, t)),
-        ]
-        for prod, form in cases:
-            assert prod.kind == "toeplitz"
-            assert np.array_equal(prod.eval_pairs(s, t),
-                                  DiscreteSymbol.callback(form).eval_pairs(s, t))
-        # a product with any other kind is a callback
-        assert (a * catalog("smooth_homogeneous")).kind == "callback"
-        assert (a * catalog("triangular")).kind == "toeplitz"
-
     def test_dimension_mismatch_product(self):
+        # the Schur product of a 2-d symbol with a 1-d polynomial
+        w = Box.interval(0, 2)
+        f = pi_embed(LabeledMatrix(w, w, np.eye(2)))
+        with pytest.raises(ValueError, match="dimension"):
+            apply_fourier_multiplier(catalog("constant_one", d=2), f)
         with pytest.raises(SymbolError):
-            catalog("triangular") * catalog("constant_one", d=2)
+            DiscreteSymbol.dense(w, Box.cube(0, 2, 2), np.ones((2, 4)))
 
 
 class TestCatalog:

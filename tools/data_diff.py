@@ -13,6 +13,11 @@ recorded in a report reads the same on both sides. Then, per output file:
   companions, the exit statuses) must match byte for byte.
 
     python3 tools/data_diff.py --parent ../parent --change .
+    python3 tools/data_diff.py --parent HEAD~1 --change .
+
+A ``--parent`` that is not a directory names a git revision of the
+``--change`` checkout's repository; its ``src/`` is exported with
+``git archive`` into a temporary directory.
 
 Prints the first differing lines of every output that differs and exits 1,
 or prints how many outputs agree and exits 0.
@@ -149,6 +154,18 @@ def run_side(checkout: Path, workdir: Path) -> None:
         raise RuntimeError(f"commands in {checkout} failed:\n{proc.stderr[-2000:]}")
 
 
+def export_revision(repo: Path, revision: str, dest: Path) -> Path:
+    """``revision``'s ``src/``, exported from the git repository at ``repo``
+    into ``dest``; returns ``dest``."""
+    archive = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", revision, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        sys.exit(f"--parent {revision} is neither a directory nor a revision of {repo}: "
+                 f"{archive.stderr.decode().strip()}")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return dest
+
+
 def compared_lines(path: Path, reports) -> list:
     """The lines of one output that must match: a JSON report's data section,
     a CSV report's non-comment lines, or all of any other file."""
@@ -164,13 +181,18 @@ def compared_lines(path: Path, reports) -> list:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    ap.add_argument("--parent", required=True,
+                    help="checkout of the parent commit, or its git revision")
     ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
     args = ap.parse_args(argv)
     labels = {name: " ".join(argv) for argv, name in runs()}
-    with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
+    with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir, \
+            tempfile.TemporaryDirectory() as export_dir:
+        parent = Path(args.parent)
+        if not parent.is_dir():
+            parent = export_revision(args.change, args.parent, Path(export_dir))
         sides = (Path(parent_dir), Path(change_dir))
-        run_side(args.parent, sides[0])
+        run_side(parent, sides[0])
         run_side(args.change, sides[1])
         names = sorted({p.name for side in sides for p in side.iterdir()} - {"argv.json"})
         differing = 0
