@@ -73,6 +73,9 @@ def _parse_p_list(text: str):
                 val = Fraction(int(tok))
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"cannot parse p value {tok!r}: {exc}") from None
+        # checked here, before the first search runs
+        if not 1 < val < math.inf:
+            raise CliError(f"--p value {tok!r} must lie in the open interval (1, inf)")
         out.append((tok, val))
     if not out:
         raise CliError("empty p list")
@@ -204,26 +207,45 @@ def _levels(args):
     return args.jmin, args.jmax
 
 
+# the options each checker reads, with their defaults; the parser gives them
+# none, so a value given for a checker that does not read it is an input error
+_CHECK_OPTIONS = {
+    "check_1d": {"nmax": 8, "base_range": "-8:8"},
+    "check_2d": {"kmax": 5, "base_range": "-8:8"},
+    "check_dd": {"kmax": 4, "base_range": "-8:8"},
+    "check_continuous": {"jmin": -7, "jmax": 7},
+}
+
+
+def _readers(option: str) -> str:
+    """The checkers that read ``option``, each with its default, from _CHECK_OPTIONS."""
+    return ", ".join(f"{c} (default {row[option]})"
+                     for c, row in _CHECK_OPTIONS.items() if option in row)
+
+
 def cmd_check(args) -> int:
     sym, label = _resolve_symbol(args)
     continuous = isinstance(sym, ContinuousSymbol)
-    # an option the chosen checker would ignore is an input error
     if continuous and args.alpha:
         raise CliError("--alpha does not apply to a continuous symbol")
-    if args.kmax is not None and (continuous or sym.d == 1 and not args.alpha):
-        raise CliError("--kmax applies only to check_2d and check_dd: "
-                       "a discrete symbol with d >= 2, or --alpha")
-    if continuous:
+    name = ("check_continuous" if continuous else "check_1d" if sym.d == 1 and not args.alpha
+            else "check_dd" if args.alpha or sym.d > 2 else "check_2d")
+    reads = _CHECK_OPTIONS[name]
+    for option in ("nmax", "kmax", "jmin", "jmax", "base_range"):
+        if option in reads:
+            if getattr(args, option) is None:
+                setattr(args, option, reads[option])
+        elif getattr(args, option) is not None:
+            raise CliError(f"--{option.replace('_', '-')} applies only to "
+                           f"{_readers(option)}, not to {name}")
+    if name == "check_continuous":
         report = check_continuous(sym, _levels(args))
+    elif name == "check_1d":
+        report = check_1d(sym, args.nmax, _parse_base_range(args.base_range, sym.d))
+    elif name == "check_2d":
+        report = check_2d(sym, args.kmax, _parse_base_range(args.base_range, sym.d))
     else:
-        base = _parse_base_range(args.base_range, sym.d)
-        if sym.d == 1 and not args.alpha:
-            report = check_1d(sym, args.nmax, base)
-        else:
-            checker = check_dd if args.alpha or sym.d > 2 else check_2d
-            if args.kmax is None:
-                args.kmax = 4 if checker is check_dd else 5
-            report = checker(sym, args.kmax, base)
+        report = check_dd(sym, args.kmax, _parse_base_range(args.base_range, sym.d))
     config = _run_config(args, label)
     data = report.as_dict()
     data["headline"] = headline = report.headline
@@ -505,13 +527,11 @@ def _common(p, symbol=True, threshold="exit 1 when the headline quantity exceeds
 
 def _check_args(p):
     _common(p)
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--kmax", type=int,
-                   help="default 5 for check_2d, 4 for check_dd")
-    p.add_argument("--jmin", type=int, default=-7)
-    p.add_argument("--jmax", type=int, default=7)
-    p.add_argument("--base-range", dest="base_range", default="-8:8",
-                   help="lo:hi[,lo:hi...] base points; one pair applies to every axis")
+    for option in ("nmax", "kmax", "jmin", "jmax"):
+        p.add_argument(f"--{option}", type=int, help=f"read only by {_readers(option)}")
+    p.add_argument("--base-range", dest="base_range",
+                   help="lo:hi[,lo:hi...] base points; one pair applies to every axis; "
+                        f"read only by {_readers('base_range')}")
     p.add_argument("--alpha", action="store_true",
                    help="force the anchored mixed-difference checker")
     p.set_defaults(fn=cmd_check)

@@ -9,12 +9,13 @@ block-telescoping decompositions whose parts must reassemble exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Box, DyadicIndex, aspoint
+from .lattice import Box, DyadicIndex, _mixed_difference, aspoint
 from .schatten import (
     LabeledMatrix,
     QuadratureGrid,
@@ -30,9 +31,8 @@ __all__ = [
     "freq_project",
     "cutoff_profile",
     "smooth_cutoff",
-    "SbpTerms",
+    "SbpParts",
     "summation_by_parts_1d",
-    "Sbp2dParts",
     "summation_by_parts_2d",
     "LpReport",
     "lp_experiment",
@@ -265,16 +265,14 @@ def is_pi_image(f: MatTrigPoly) -> bool:
     return not bool((np.abs(f._val[off]) > 0.0).any())
 
 
-def _diagonals(m, freqs, window: Box, side: str) -> np.ndarray:
+def _diagonals(m, freqs, window: Box) -> np.ndarray:
     """Diagonal multipliers on a window for a batch of frequencies, one
-    symbol evaluation: row n holds m(s, s-n) over s (side 'left') or
-    m(t+n, t) over t (side 'right')."""
+    symbol evaluation: row n holds m(s, s-n) over s."""
     pts = window.points_array()
     freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, window.d)
     base = np.tile(pts, (len(freqs), 1))
-    off = np.repeat(freqs, len(pts), axis=0)
-    s_pts, t_pts = (base, base - off) if side == "left" else (base + off, base)
-    return m.eval_pairs(s_pts, t_pts).reshape(len(freqs), len(pts))
+    return m.eval_pairs(base, base - np.repeat(freqs, len(pts), axis=0)).reshape(
+        len(freqs), len(pts))
 
 
 def _entry_multipliers(m, f: MatTrigPoly, side: str) -> np.ndarray:
@@ -428,130 +426,102 @@ def smooth_cutoff(f: MatTrigPoly, j: int) -> MatTrigPoly:
 
 
 @dataclass
-class SbpTerms:
-    """One-dimensional block decomposition of the multiplied projection.
+class SbpParts:
+    """A block-telescoping decomposition of the multiplied projection.
 
     ``total`` is the sum of the decomposition's terms and must reproduce
-    ``direct`` exactly; ``residual`` is their largest coefficient gap.
+    ``direct`` exactly; ``residual`` is their largest coefficient gap, which
+    the caller judges.
     """
 
     j: int
-    side: str
     total: MatTrigPoly
     direct: MatTrigPoly
     residual: float
 
 
-def summation_by_parts_1d(m, f: MatTrigPoly, j: int, side: str = "left") -> SbpTerms:
+def _anchored_sums(diag, box: Box, high) -> np.ndarray:
+    """Multipliers over a box from its diagonals (window x box points), in a
+    table with the window axis first, then each box axis from the anchor
+    (the high end on the axes flagged in ``high``) outward: the anchor's
+    diagonal plus, per nonzero axis mask in product() order, the np.cumsum of
+    the mixed differences with the axes outside the mask pinned at the
+    anchor, over the cuts from the anchor to just below each point."""
+    d = box.d
+    V = diag.reshape(-1, *box.sizes)[
+        (slice(None),) + tuple(slice(None, None, -1) if h else slice(None) for h in high)]
+    mult = np.empty_like(V)
+    mult[...] = V[(...,) + (slice(0, 1),) * d]
+    for alpha in list(itertools.product((0, 1), repeat=d))[1:]:
+        D = _mixed_difference(V[(...,) + tuple(slice(None) if bit else slice(0, 1)
+                                               for bit in alpha)], alpha)
+        for axis in np.flatnonzero(alpha):
+            np.cumsum(D, axis=1 + axis, out=D)
+        mult[(...,) + tuple(slice(1, None) if bit else slice(None) for bit in alpha)] += D
+    return mult
+
+
+def _telescope(m, g: MatTrigPoly, j: int, boxes) -> SbpParts:
+    """Block telescoping of the multiplied projection of g onto the boxes.
+
+    ``boxes`` lists (box, high) pairs of disjoint frequency boxes, each
+    anchored at the low end of every axis but those flagged in ``high``. One
+    diagonal batch covers every box; each entry's total is its multiplier
+    (``_anchored_sums``) times its value.
+    """
+    # window x the boxes' points
+    diag = _diagonals(m, np.concatenate([box.points_array() for box, _ in boxes]), g.rows).T
+    inside = [_region_mask(box, g._sup) for box, _ in boxes]
+    keep = np.logical_or.reduce(inside)
+    gb = g._keep(keep)
+    freq, row, val = gb._sup[gb._fi], gb._row, gb._val
+    out = np.empty_like(val)
+    start = 0
+    for (box, high), mask in zip(boxes, inside):
+        on = mask[keep][gb._fi]
+        if on.any():  # a box without entries needs no multipliers
+            anchor = [hi - 1 if h else lo for lo, hi, h in zip(box.los, box.his, high)]
+            at = (row[on],) + tuple(np.abs(freq[on] - anchor).T)
+            out[on] = _anchored_sums(diag[:, start:start + box.npoints], box, high)[at] * val[on]
+        start += box.npoints
+    del diag  # the direct product below does not need it
+    total = gb._with_values(out)
+    direct = apply_fourier_multiplier(m, gb, verify_two_sided=False)
+    return SbpParts(j, total, direct, max_coeff_diff(total, direct))
+
+
+def summation_by_parts_1d(m, f: MatTrigPoly, j: int) -> SbpParts:
     """Decompose the level-j block part of the multiplied polynomial.
 
     Each half block contributes the anchor multiplier (taken at the point of
     the half block nearest zero) applied to the half-block projection, plus
     one difference term per interior cut: the multiplier increment across the
-    cut applied to the projection onto the points beyond it. The terms are
-    added into one running total as they are made, cut by cut from the
-    negative block edge inward and then from the positive anchor outward.
+    cut applied to the projection onto the points beyond it (``_telescope``).
     """
     if f.d != 1:
         raise ValueError("one-dimensional decomposition needs d = 1")
     if j < 1:
         raise ValueError("block level must be >= 1")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     a, b = 1 << (j - 1), 1 << j
-    window = f.rows if side == "left" else f.cols
-    block = [*range(-b + 1, -a + 1), *range(a, b)]
-    diag = dict(zip(block, _diagonals(m, block, window, side)))
-
-    fb = freq_project(f, DyadicIndex(j, 1))
-    freq = fb._sup[fb._fi, 0]  # ascending: the entries beyond a cut are a run
-    at = fb._row if side == "left" else fb._col
-    val = fb._val
-
-    def term(mult, lo, hi):
-        return _times(mult[at[lo:hi]], val[lo:hi], side)
-
-    neg = int(np.searchsorted(freq, 0))
-    acc = np.concatenate([term(diag[-a], 0, neg), term(diag[a], neg, len(val))])
-    for n in range(-b + 2, -a + 1):
-        hi = int(np.searchsorted(freq, n))
-        acc[:hi] += term(diag[n - 1] - diag[n], 0, hi)
-    for n in range(a, b - 1):
-        lo = int(np.searchsorted(freq, n, "right"))
-        acc[lo:] += term(diag[n + 1] - diag[n], lo, len(val))
-    total = fb._with_values(acc)
-    direct = apply_fourier_multiplier(m, fb, side=side, verify_two_sided=False)
-    residual = max_coeff_diff(total, direct)
-    return SbpTerms(j, side, total, direct, residual)
+    return _telescope(m, f, j, [(Box.interval(-b + 1, -a + 1), (True,)),
+                                (Box.interval(a, b), (False,))])
 
 
-@dataclass
-class Sbp2dParts:
-    """Four-part decomposition over the first rectangle of a 2-d block.
-
-    ``total`` is the sum of the four parts and must reproduce ``direct``
-    exactly; ``residual`` is their largest coefficient gap.
-    """
-
-    j: int
-    anchor: tuple
-    total: MatTrigPoly
-    direct: MatTrigPoly
-    residual: float
-
-
-def summation_by_parts_2d(m, f: MatTrigPoly, j: int) -> Sbp2dParts:
+def summation_by_parts_2d(m, f: MatTrigPoly, j: int) -> SbpParts:
     """Decompose the multiplied projection onto the first rectangle of the
-    level-j block in two dimensions.
-
-    The rectangle is the product of the wide strip (first axis) and the
-    upper dyadic interval (second axis). The anchor sits at its corner
-    nearest the origin; single-difference sums run along each anchored edge
-    and the mixed-difference sum runs over the whole rectangle, each paired
-    with the projection onto the points beyond the cut. The four parts are
-    running sums over the rectangle's entries (anchor term, first-axis cuts,
-    second-axis cuts, mixed cuts): each cut adds its term to the entries
-    beyond it, and the total adds the four sums in that order.
-    ``residual`` is the largest coefficient gap between the total and the
-    direct computation; the caller judges it.
+    level-j block in two dimensions: the wide strip (first axis) times the
+    upper dyadic interval (second axis), anchored at its corner nearest the
+    origin, (-a+1, a) with a = 2^(j-1). Single-difference sums run along each
+    anchored edge and the mixed-difference sum over the whole rectangle
+    (``_telescope``).
     """
     if f.d != 2:
         raise ValueError("this decomposition needs d = 2")
     if j < 1:
         raise ValueError("block level must be >= 1")
     a, b = 1 << (j - 1), 1 << j
-    strip = Box.interval(-a + 1, b)  # wide first-axis factor
-    upper = Box.interval(a, b)  # second-axis factor
-    rect = strip.product(upper)
-    anchor = (-a + 1, a)
-    diag = _diagonals(m, rect.points_array(), f.rows, "left").reshape(
-        strip.npoints, upper.npoints, f.rows.npoints)
-
-    def dop(n1, n2):
-        return diag[n1 + a - 1, n2 - a]
-
-    frect = freq_project(f, rect)
-    # lexicographic entry order: the entries beyond a first-axis cut are a run
-    n1s, n2s = frect._sup[frect._fi].T
-    row, val = frect._row, frect._val
-
-    def add(acc, cut, beyond):
-        acc[beyond] += cut[row[beyond]] * val[beyond]
-
-    first, second, mixed = (np.zeros_like(val) for _ in range(3))
-    for n1 in range(-a + 1, b - 1):
-        lo = int(np.searchsorted(n1s, n1, "right"))
-        add(first, dop(n1 + 1, a) - dop(n1, a), slice(lo, None))
-        for n2 in range(a, b - 1):
-            add(mixed, dop(n1 + 1, n2 + 1) - dop(n1 + 1, n2) - dop(n1, n2 + 1) + dop(n1, n2),
-                lo + np.flatnonzero(n2s[lo:] > n2))
-    for n2 in range(a, b - 1):
-        add(second, dop(-a + 1, n2 + 1) - dop(-a + 1, n2), n2s > n2)
-
-    total = frect._with_values(dop(*anchor)[row] * val + first + second + mixed)
-    direct = apply_fourier_multiplier(m, frect, verify_two_sided=False)
-    residual = max_coeff_diff(total, direct)
-    return Sbp2dParts(j, anchor, total, direct, residual)
+    return _telescope(m, f, j, [(Box.interval(-a + 1, b).product(Box.interval(a, b)),
+                                 (False, False))])
 
 
 # ---------------------------------------------------------------------------

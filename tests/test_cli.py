@@ -88,11 +88,21 @@ class TestRunConfig:
                                               else spec and f"spec:{spec}")
         assert config.pop("version") == cli.__version__
         unset = {k for k, v in declared.items() if v is None}
-        assert unset <= {"threshold", "out", "kmax"}
-        if argv[0] == "check" and declared["kmax"] is None:
-            # resolved by the checker that reads it: 5 for check_2d, 4 for check_dd
-            assert config.pop("kmax", None) == {"2d": 5, "dd": 4}.get(body["data"]["kind"])
+        assert unset <= {"threshold", "out", "nmax", "kmax", "jmin", "jmax", "base_range"}
+        if argv[0] == "check":
+            # the options the chosen checker reads, each given or at its
+            # default; the others stay unset and unrecorded
+            reads = self.CHECK_DEFAULTS[body["data"]["kind"]]
+            for k, v in reads.items():
+                if declared[k] is None:
+                    declared[k] = v
+            assert not set(config) & {"nmax", "kmax", "jmin", "jmax", "base_range"} - set(reads)
         assert config == {k: v for k, v in declared.items() if v is not None}
+
+    CHECK_DEFAULTS = {"1d": {"nmax": 8, "base_range": "-8:8"},
+                      "2d": {"kmax": 5, "base_range": "-8:8"},
+                      "dd": {"kmax": 4, "base_range": "-8:8"},
+                      "continuous": {"jmin": -7, "jmax": 7}}
 
 
 class TestCatalog:
@@ -171,6 +181,13 @@ class TestCheck:
         (["--catalog", "continuous_arctan", "--alpha"],
          "--alpha does not apply to a continuous symbol"),
         (["--catalog", "triangular", "--kmax", "3"], "--kmax applies only to"),
+        (["--catalog", "triangular", "--nmax", "3", "--jmin", "5"], "--jmin applies only to"),
+        (["--catalog", "triangular", "--nmax", "3", "--jmax", "1"], "--jmax applies only to"),
+        (["--catalog", "continuous_arctan", "--jmin", "-1", "--jmax", "1", "--nmax", "2"],
+         "--nmax applies only to"),
+        (["--catalog", "continuous_arctan", "--jmin", "-1", "--jmax", "1",
+          "--base-range=-1:1"], "--base-range applies only to"),
+        (["--spec", "toeplitz_2d.json", "--nmax", "2"], "--nmax applies only to"),
     ]
 
     @pytest.mark.parametrize("argv, message", BAD_OPTIONS,
@@ -184,10 +201,15 @@ class TestCheck:
 
         for checker in ("check_1d", "check_2d", "check_dd", "check_continuous"):
             monkeypatch.setattr(cli, checker, never)
-        rc = main(["check", *argv, "--out", str(tmp_path / "x.json")])
+        spec_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        spec_dir.mkdir()
+        out_dir.mkdir()
+        (spec_dir / "toeplitz_2d.json").write_text(json.dumps(_SPEC_2D))
+        monkeypatch.chdir(spec_dir)
+        rc = main(["check", *argv, "--out", str(out_dir / "x.json")])
         assert rc == 2
         assert message in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert list(out_dir.iterdir()) == []
 
     def test_json_deterministic(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -440,6 +462,20 @@ class TestEstimate:
             TestReportEncoding.SPECS["toeplitz_2d"]))
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, search", [("estimate", "cb_lower_bound"),
+                                                 ("growth", "growth_experiment")])
+    @pytest.mark.parametrize("p_list", ["4,1", "4,1/2", "4,1e400"])
+    def test_p_out_of_range_rejected_before_any_search(self, command, search, p_list,
+                                                       monkeypatch, capsys):
+        # a bad value anywhere in the list exits before the first search,
+        # naming the option
+        def never(*args, **kwargs):
+            raise AssertionError("a search ran on a bad --p list")
+
+        monkeypatch.setattr(cli, search, never)
+        assert main([command, "--catalog", "triangular", "--p", p_list, "--n", "4"]) == 2
+        assert "--p value" in capsys.readouterr().err
 
     def test_zero_iterations_run_no_ascent_step(self, capsys):
         assert main(["estimate", "--catalog", "triangular", "--p", "4,3", "--n", "4",

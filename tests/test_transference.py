@@ -29,7 +29,7 @@ from schurkit import (
     summation_by_parts_2d,
 )
 from schurkit.schatten import QuadratureGrid
-from schurkit.transference import _cutoff_factor, _diagonals, _sum_polys, _times
+from schurkit.transference import _cutoff_factor, _diagonals, _sum_polys
 
 
 def _grid_values(f, grid):
@@ -305,11 +305,9 @@ class TestTransfer:
     def test_diagonal_multiplier_entries(self):
         m = catalog("triangular")
         w = Box.interval(0, 3)
-        # row form holds m(s, s-n), column form m(s+n, s); n = 1 gives ones
-        row = _diagonals(m, [(1,), (-1,)], w, "left")
-        col = _diagonals(m, [(1,)], w, "right")
+        # row n holds m(s, s-n); n = 1 gives ones, n = -1 zeros
+        row = _diagonals(m, [(1,), (-1,)], w)
         assert np.array_equal(row, [np.ones(3), np.zeros(3)])
-        assert np.array_equal(col, [np.ones(3)])
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_transfer_identity(self, d):
@@ -458,51 +456,45 @@ def _random_poly(d, j, window, rng, count=12):
 
 
 class TestSummationByParts1d:
-    @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
-    def test_reassembles_exactly(self, side, j):
+    def test_reassembles_exactly(self, j):
         rng = np.random.default_rng(14 + j)
         w = Box.interval(0, min(2**j + 1, 9))
         f = (pi_embed(_random(w, rng)) if j <= 3
              else _random_poly(1, j, Box.interval(0, 4), rng, count=24))
         m = _random_symbol(1, rng)
-        parts = summation_by_parts_1d(m, f, j, side=side)
+        parts = summation_by_parts_1d(m, f, j)
         scale = max(parts.direct.max_abs(), 1.0)
         assert parts.residual <= 1e-12 * scale
 
-    @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("n,j", [(9, 3), (33, 5), (96, 6)])
-    def test_total_matches_the_sum_of_its_terms(self, n, j, side):
-        # reference: every term as its own polynomial, summed in one pass;
-        # the streamed total adds the same products in the same order
+    def test_total_matches_the_sum_of_its_terms(self, n, j):
+        # reference, per frequency: the anchor multiplier at -a or a, plus
+        # the differences across the cuts from the anchor outward to just
+        # below the frequency, added one by one; times each entry's value
         rng = np.random.default_rng(22 + n)
         f = pi_embed(_random(Box.interval(-(n // 2), n - n // 2), rng))
         m = _random_symbol(1, rng)
         a, b = 2 ** (j - 1), 2**j
-        window = f.rows if side == "left" else f.cols
-        diag = dict(zip(range(-b + 1, b), _diagonals(m, range(-b + 1, b), window, side)))
-
-        def scaled(mult, g):
-            at = g._row if side == "left" else g._col
-            return g._with_values(_times(mult[at], g._val, side))
-
-        neg = freq_project(f, Box.interval(-b + 1, -a + 1))
-        pos = freq_project(f, Box.interval(a, b))
-        terms = [scaled(diag[-a], neg), scaled(diag[a], pos)]
-        terms += [scaled(diag[c - 1] - diag[c], freq_project(neg, Box.interval(-b + 1, c)))
-                  for c in range(-b + 2, -a + 1)]
-        terms += [scaled(diag[c + 1] - diag[c], freq_project(pos, Box.interval(c + 1, b)))
-                  for c in range(a, b - 1)]
-        want = _sum_polys(terms)
-        got = summation_by_parts_1d(m, f, j, side=side).total
-        assert got.support == want.support
-        assert np.array_equal(got._row, want._row) and np.array_equal(got._col, want._col)
-        assert np.array_equal(got._val, want._val)
+        diag = dict(zip(range(-b + 1, b), _diagonals(m, range(-b + 1, b), f.rows)))
+        mult = {}
+        for k in [*range(-b + 1, -a + 1), *range(a, b)]:
+            out = 1 if k > 0 else -1
+            total = 0
+            for c in range(out * a, k, out):
+                total = total + (diag[c + out] - diag[c])
+            mult[k] = diag[out * a] + total
+        fb = freq_project(f, DyadicIndex(j, 1))
+        want = np.array([mult[k][s] for k, s in zip(fb._sup[fb._fi, 0], fb._row)]) * fb._val
+        got = summation_by_parts_1d(m, f, j).total
+        assert got.support == fb.support
+        assert np.array_equal(got._row, fb._row) and np.array_equal(got._col, fb._col)
+        assert np.array_equal(got._val, want)
 
     def test_memory_stays_near_the_block_entries(self):
         # n = 256, j = 7: kept as separate polynomials, the 126 difference
-        # terms hold 603,456 entries (50 MB traced); the running total holds
-        # the block's 20,544
+        # terms hold 603,456 entries (50 MB traced); the telescoped total
+        # holds the block's 20,544
         rng = np.random.default_rng(23)
         f = pi_embed(_random(Box.interval(-128, 128), rng))
         m = _random_symbol(1, rng)
@@ -532,9 +524,11 @@ class TestSummationByParts2d:
 
     @pytest.mark.parametrize("side,j", [(5, 2), (9, 3), (16, 4), (None, 3)])
     def test_total_matches_the_sum_of_its_parts(self, side, j):
-        # reference: the four parts as polynomials, each cut's term its own
-        # projection, summed in one pass; the streamed total adds the same
-        # products in the same order
+        # reference, per frequency (n1, n2): the anchor multiplier at
+        # (-a+1, a), plus the second-axis, first-axis and mixed difference
+        # sums in that order, each adding its cuts one by one from the anchor
+        # outward (the mixed sum first along the first axis); times each
+        # entry's value
         rng = np.random.default_rng(60 + j)
         f = (pi_embed(_random(Box.cube(-(side // 2), side - side // 2, 2), rng)) if side
              else _random_poly(2, j, Box.cube(0, 3, 2), rng, count=40))
@@ -542,39 +536,39 @@ class TestSummationByParts2d:
         a, b = 2 ** (j - 1), 2**j
         strip, upper = Box.interval(-a + 1, b), Box.interval(a, b)
         rect = strip.product(upper)
-        diag = _diagonals(m, rect.points_array(), f.rows, "left").reshape(
+        diag = _diagonals(m, rect.points_array(), f.rows).reshape(
             strip.npoints, upper.npoints, f.rows.npoints)
 
         def dop(n1, n2):
             return diag[n1 + a - 1, n2 - a]
 
+        mult = {}
+        for n1, n2 in rect.points():
+            second = 0
+            for c2 in range(a, n2):
+                second = second + (dop(-a + 1, c2 + 1) - dop(-a + 1, c2))
+            first = 0
+            for c1 in range(-a + 1, n1):
+                first = first + (dop(c1 + 1, a) - dop(c1, a))
+            mixed = 0
+            for c2 in range(a, n2):
+                column = 0
+                for c1 in range(-a + 1, n1):
+                    column = column + (dop(c1, c2) - dop(c1, c2 + 1) - dop(c1 + 1, c2)
+                                       + dop(c1 + 1, c2 + 1))
+                mixed = mixed + column
+            mult[n1, n2] = dop(-a + 1, a) + second + first + mixed
         frect = freq_project(f, rect)
-
-        def scaled(cut, g):
-            return g._with_values(cut[g._row] * g._val)
-
-        def part(terms):
-            return _sum_polys([MatTrigPoly.zero(2, f.rows, f.cols),
-                               *(scaled(cut, freq_project(frect, Box.interval(lo1, b)
-                                                          .product(Box.interval(lo2, b))))
-                                 for cut, lo1, lo2 in terms)])
-
-        cuts1, cuts2 = range(-a + 1, b - 1), range(a, b - 1)
-        want = _sum_polys([
-            scaled(dop(-a + 1, a), frect),
-            part((dop(n1 + 1, a) - dop(n1, a), n1 + 1, a) for n1 in cuts1),
-            part((dop(-a + 1, n2 + 1) - dop(-a + 1, n2), -a + 1, n2 + 1) for n2 in cuts2),
-            part((dop(n1 + 1, n2 + 1) - dop(n1 + 1, n2) - dop(n1, n2 + 1) + dop(n1, n2),
-                  n1 + 1, n2 + 1) for n1 in cuts1 for n2 in cuts2),
-        ])
+        want = np.array([mult[tuple(n)][s] for n, s in
+                         zip(frect._sup[frect._fi].tolist(), frect._row)]) * frect._val
         got = summation_by_parts_2d(m, f, j).total
-        assert got.support == want.support
-        assert np.array_equal(got._row, want._row) and np.array_equal(got._col, want._col)
-        assert np.array_equal(got._val, want._val)
+        assert got.support == frect.support
+        assert np.array_equal(got._row, frect._row) and np.array_equal(got._col, frect._col)
+        assert np.array_equal(got._val, want)
 
     def test_memory_stays_near_the_rectangle_entries(self):
         # side 16, j = 4: kept as separate polynomials, the cut terms peak at
-        # 17.7 MB traced; the four running sums peak at 4.7 MB
+        # 17.7 MB traced; the telescoped total stays well below that
         rng = np.random.default_rng(61)
         f = pi_embed(_random(Box.cube(-8, 8, 2), rng))
         m = _random_symbol(2, rng)
@@ -586,15 +580,6 @@ class TestSummationByParts2d:
             tracemalloc.stop()
         assert parts.residual <= 1e-12 * max(parts.direct.max_abs(), 1.0)
         assert peak < 8 << 20, peak
-
-    def test_anchor_at_rectangle_corner(self):
-        rng = np.random.default_rng(40)
-        j = 3
-        f = _random_poly(2, j, Box.cube(0, 3, 2), rng, count=30)
-        m = _random_symbol(2, rng)
-        parts = summation_by_parts_2d(m, f, j)
-        a = 2 ** (j - 1)
-        assert parts.anchor == (-a + 1, a)
 
     def test_reports_residual_instead_of_raising(self):
         # a symbol whose values drift between calls cannot reassemble; the
